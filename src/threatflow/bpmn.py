@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
+from functools import cached_property
 from enum import Enum
 from typing import Union
 from xml.sax.saxutils import quoteattr
@@ -100,6 +101,48 @@ class ErrorDecl:
 
 
 @dataclass(frozen=True)
+class ProcessIndex:
+    """Graph lookups over one model, built once (ProcessModel.index). Invalid
+    models index too: flows may name unknown nodes."""
+
+    nodes: dict[str, Node]
+    successors: dict[str, list[str]]  # flow targets, ordered by flow id
+    indegree: dict[str, int]  # incoming sequence flows
+    boundaries: dict[str, dict[str, ErrorBoundaryEvent]]  # task id -> errorRef -> boundary
+    order: list[Node]  # document order; short of the model if flows cycle
+    service_tasks: tuple[ServiceTask, ...]  # in document order
+
+
+def _index(pm: ProcessModel) -> ProcessIndex:
+    nodes = {n.id: n for n in reversed(pm.nodes)}  # the first node wins a duplicate id
+    succ: dict[str, list[str]] = {n.id: [] for n in pm.nodes}
+    indeg = dict.fromkeys(succ, 0)
+    for f in sorted(pm.flows, key=lambda f: f.id):
+        succ.setdefault(f.from_node, []).append(f.to_node)
+        indeg[f.to_node] = indeg.get(f.to_node, 0) + 1
+    boundaries: dict[str, dict[str, ErrorBoundaryEvent]] = {}
+    for b in pm.boundary_events():
+        boundaries.setdefault(b.attached_to, {}).setdefault(b.error_ref, b)
+
+    # topological over flows with id tie-break; boundary events follow their task
+    waiting = {n.id: indeg[n.id] for n in pm.nodes if not isinstance(n, ErrorBoundaryEvent)}
+    ready = [nid for nid, d in waiting.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[Node] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nodes[nid])
+        order.extend(sorted(boundaries.get(nid, {}).values(), key=lambda b: b.id))
+        for nxt in succ[nid]:
+            if nxt in waiting:
+                waiting[nxt] -= 1
+                if waiting[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+    tasks = tuple(n for n in order if isinstance(n, ServiceTask))
+    return ProcessIndex(nodes, succ, indeg, boundaries, order, tasks)
+
+
+@dataclass(frozen=True)
 class ProcessModel:
     id: str
     name: str = ""
@@ -107,11 +150,13 @@ class ProcessModel:
     flows: tuple[SequenceFlow, ...] = ()
     errors: tuple[ErrorDecl, ...] = ()
 
+    @cached_property
+    def index(self) -> ProcessIndex:
+        """Built on first use; equality, hashing and replace() ignore it."""
+        return _index(self)
+
     def node_by_id(self, node_id: str) -> Node | None:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        return None
+        return self.index.nodes.get(node_id)
 
     def service_tasks(self) -> list[ServiceTask]:
         return [n for n in self.nodes if isinstance(n, ServiceTask)]
@@ -192,15 +237,11 @@ def validate(pm: ProcessModel) -> list[str]:
     # degree rules for the structured subset (flows only; boundary events
     # are attached, not flow-connected)
     if not v:
-        indeg = {n.id: 0 for n in pm.nodes}
-        outdeg = {n.id: 0 for n in pm.nodes}
-        for f in pm.flows:
-            outdeg[f.from_node] += 1
-            indeg[f.to_node] += 1
+        idx = pm.index
         # an end event may be fed solely by a boundary handler reroute
         handler_fed = {b.handler_target for b in pm.boundary_events()}
         for n in pm.nodes:
-            i, o = indeg[n.id], outdeg[n.id]
+            i, o = idx.indegree[n.id], len(idx.successors[n.id])
             if isinstance(n, StartEvent) and (i != 0 or o != 1):
                 v.append(f"start event {n.id!r} must have 0 in / 1 out flows, has {i}/{o}")
             elif isinstance(n, EndEvent) and ((i < 1 and n.id not in handler_fed) or o != 0):
@@ -221,15 +262,8 @@ def validate(pm: ProcessModel) -> list[str]:
     return v
 
 
-def _successors(pm: ProcessModel) -> dict[str, list[str]]:
-    succ: dict[str, list[str]] = {n.id: [] for n in pm.nodes}
-    for f in sorted(pm.flows, key=lambda f: f.id):
-        succ[f.from_node].append(f.to_node)
-    return succ
-
-
 def _check_acyclic(pm: ProcessModel) -> list[str]:
-    succ = _successors(pm)
+    succ = pm.index.successors
     WHITE, GREY, BLACK = 0, 1, 2
     color = {nid: WHITE for nid in succ}
     for root in succ:
@@ -252,21 +286,17 @@ def _check_acyclic(pm: ProcessModel) -> list[str]:
 
 
 def _check_reachability(pm: ProcessModel) -> list[str]:
-    starts = [n for n in pm.nodes if isinstance(n, StartEvent)]
-    if len(starts) != 1:
-        return []
-    succ = _successors(pm)
-    for b in pm.boundary_events():
-        succ.setdefault(b.attached_to, []).append(b.id)
-        succ.setdefault(b.id, []).append(b.handler_target)
+    idx = pm.index
     seen = set()
-    frontier = [starts[0].id]
+    frontier = [pm.start_event().id]
     while frontier:
         nid = frontier.pop()
         if nid in seen:
             continue
         seen.add(nid)
-        frontier.extend(succ.get(nid, []))
+        frontier.extend(idx.successors.get(nid, ()))
+        for b in idx.boundaries.get(nid, {}).values():
+            frontier += [b.id, b.handler_target]
     return [
         f"node {n.id!r} is unreachable from the start event"
         for n in pm.nodes
@@ -277,13 +307,9 @@ def _check_reachability(pm: ProcessModel) -> list[str]:
 def _check_gateway_pairing(pm: ProcessModel) -> list[str]:
     """Every fork must converge on one matching join across all branches."""
     v: list[str] = []
-    nodes = {n.id: n for n in pm.nodes}
-    succ = _successors(pm)
+    nodes, succ, indeg = pm.index.nodes, pm.index.successors, pm.index.indegree
     forks = [n for n in pm.nodes if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK]
     joins = {n.id for n in pm.nodes if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.JOIN}
-    indeg: dict[str, int] = {n.id: 0 for n in pm.nodes}
-    for f in pm.flows:
-        indeg[f.to_node] += 1
 
     join_of: dict[str, str | None] = {}
 
@@ -413,33 +439,10 @@ def structural_diff(a: ProcessModel, b: ProcessModel) -> list[str]:
 def document_order(pm: ProcessModel) -> list[Node]:
     """Canonical order: topological over flows with id tie-break; boundary
     events follow their attached task."""
-    nodes = {n.id: n for n in pm.nodes}
-    regular = [n for n in pm.nodes if not isinstance(n, ErrorBoundaryEvent)]
-    indeg = {n.id: 0 for n in regular}
-    succ: dict[str, list[str]] = {n.id: [] for n in regular}
-    for f in pm.flows:
-        succ[f.from_node].append(f.to_node)
-        indeg[f.to_node] += 1
-
-    ready = [n.id for n in regular if indeg[n.id] == 0]
-    heapq.heapify(ready)
-    ordered: list[Node] = []
-    boundaries_by_task: dict[str, list[ErrorBoundaryEvent]] = {}
-    for b in pm.boundary_events():
-        boundaries_by_task.setdefault(b.attached_to, []).append(b)
-    while ready:
-        nid = heapq.heappop(ready)
-        node = nodes[nid]
-        ordered.append(node)
-        for b in sorted(boundaries_by_task.get(nid, []), key=lambda b: b.id):
-            ordered.append(b)
-        for nxt in succ[nid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(ordered) != len(pm.nodes):
+    order = pm.index.order
+    if len(order) != len(pm.nodes):
         raise ValidationError(f"process {pm.id!r} flow graph is not acyclic")
-    return ordered
+    return list(order)
 
 
 # --- XML serializer -----------------------------------------------------------

@@ -12,6 +12,7 @@ ACKCOUNT}.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import socket
@@ -371,6 +372,8 @@ class BusServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._sock is not None:
+            with contextlib.suppress(OSError):
+                self._sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
             try:
                 self._sock.close()
             except OSError:
@@ -494,7 +497,10 @@ class BusClient:
                 rec = json.loads(line)
                 with self._cond:
                     if rec.get("op") == "MSG":
-                        self._msgs.append(Notification.from_record(rec))
+                        try:
+                            self._msgs.append(Notification.from_record(rec))
+                        except ValidationError as exc:
+                            log.warning("dropping malformed MSG from broker: %s", exc)
                     else:
                         self._acks.append(rec)
                     self._cond.notify_all()
@@ -506,6 +512,8 @@ class BusClient:
                 self._cond.notify_all()
 
     def subscribe(self, subscriber_id: str, topic_pattern: str) -> None:
+        if not subscriber_id:  # else the server's error reply pairs with the next publish()
+            raise ValidationError("empty subscriberId")
         validate_pattern(topic_pattern)
         self._send({"op": "SUB", "subscriberId": subscriber_id, "topicPattern": topic_pattern})
 
@@ -537,6 +545,8 @@ class BusClient:
             return None
 
     def close(self) -> None:
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)  # ends the reader, whose file keeps the socket open
         try:
             self._sock.close()
         except OSError:

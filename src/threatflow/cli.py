@@ -309,35 +309,16 @@ def _cmd_bus(args, out: _Output) -> int:
 
 def _deploy_bundle(bundle_dir, service_id: str, clock=None):
     bundle = scenario.load_bundle(bundle_dir)
-    fixtures = scenario.load_fixtures()
-    broker = bus.Broker()
-    invoker = scenario.MockInvoker(fixtures, bundle.mocks, clock=clock)
-    aux = {
-        name: runtime.deploy(
-            aux_pm, aux_reg, rules=[], criteria=bundle.criteria,
-            broker=broker, invoker=invoker, service_id=name, clock=clock,
-        )
-        for name, aux_pm, aux_reg in bundle.aux
-    }
-    svc = runtime.deploy(
-        bundle.process,
-        bundle.registry,
-        rules=list(bundle.rules),
-        criteria=bundle.criteria,
-        broker=broker,
-        invoker=invoker,
-        service_id=service_id,
-        clock=clock,
-        aux=aux,
-    )
-    return svc
+    invoker = scenario.MockInvoker(scenario.load_fixtures(), bundle.mocks, clock=clock)
+    return scenario.deploy_bundle(bundle, bus.Broker(), invoker, service_id, clock)
 
 
 def _cmd_run(args, out: _Output) -> int:
     if args.run_cmd == "deploy":
         svc = _deploy_bundle(args.bundle, args.service)
-        out.text(f"deployed service {svc.service_id!r} ({len(svc.plans)} plans)")
-        for p in svc.plans:
+        plans = svc.plans
+        out.text(f"deployed service {svc.service_id!r} ({len(plans)} plans)")
+        for p in plans:
             marker = "*" if p.plan_id == svc.active_plan_id else " "
             out.text(f"  {marker} {p.plan_id}  score={p.rank_score:.4f}")
         for topic in svc.subscriptions:
@@ -345,7 +326,7 @@ def _cmd_run(args, out: _Output) -> int:
         out.record(
             "deployed",
             service=svc.service_id,
-            plans=[p.plan_id for p in svc.plans],
+            plans=[p.plan_id for p in plans],
             activePlan=svc.active_plan_id,
             subscriptions=svc.subscriptions,
         )

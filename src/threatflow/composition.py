@@ -1,19 +1,23 @@
 """Candidate components, composition plans, ranking and plan verification.
 
 Every service task of a process has one or more candidate components in a
-registry; a composition plan is one total binding of tasks to components.
-Plans are enumerated exhaustively (the count is the Cartesian product of
-candidate list sizes), ranked by a weighted mean of trustworthiness, QoS
-and cost, and verified against adaptation rules plus the latest threat
-state. All functions here are pure; ThreatState is the one mutable type
-and hands out snapshots.
+registry; a composition plan is one total binding of tasks to components,
+ranked by a weighted mean of trustworthiness, QoS and cost, and verified
+against adaptation rules plus the latest threat state. Both split per
+(task, component) pair, so select_plan chooses task by task for deploy and
+recomposition; generate_plans enumerates the Cartesian product of candidate
+lists (up to PLAN_CEILING) only to list and rank every plan. All functions
+here are pure; ThreatState is the one mutable type and hands out snapshots.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import re
 import threading
+from collections.abc import Container
 from dataclasses import dataclass, replace
 
 from . import bpmn
@@ -28,6 +32,7 @@ from .errors import (
 from .rules import AdaptationRule
 
 PLAN_CEILING = 10_000
+_RESERVED_IN_IDS = re.compile(r"[+.*\s]")  # '+' joins plan ids; '.' and '*' are topic syntax
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,8 @@ class ComponentDescriptor:
     def validate(self) -> None:
         if not self.id:
             raise ValidationError("component id is empty")
+        if _RESERVED_IN_IDS.search(self.id):
+            raise ValidationError(f"component id {self.id!r} contains '+', '.', '*' or whitespace")
         if not 0.0 <= self.trustworthiness <= 1.0:
             raise ValidationError(f"component {self.id!r} trustworthiness outside [0,1]")
         if not 0.0 <= self.latency_score <= 1.0:
@@ -62,13 +69,6 @@ class CandidateRegistry:
                 return comps
         return ()
 
-    def component(self, component_id: str) -> ComponentDescriptor | None:
-        for _, comps in self.entries:
-            for c in comps:
-                if c.id == component_id:
-                    return c
-        return None
-
     def all_components(self) -> list[ComponentDescriptor]:
         out: dict[str, ComponentDescriptor] = {}
         for _, comps in self.entries:
@@ -77,7 +77,11 @@ class CandidateRegistry:
         return list(out.values())
 
     def validate(self) -> None:
+        """Besides per-entry checks, a component id listed under several
+        tasks must carry the same descriptor everywhere: plans resolve
+        components by id alone."""
         seen_tasks: set[str] = set()
+        known: dict[str, ComponentDescriptor] = {}
         for task_id, comps in self.entries:
             if task_id in seen_tasks:
                 raise ValidationError(f"registry lists task {task_id!r} twice")
@@ -90,6 +94,8 @@ class CandidateRegistry:
                 if c.id in seen_ids:
                     raise ValidationError(f"task {task_id!r} lists component {c.id!r} twice")
                 seen_ids.add(c.id)
+                if (first := known.setdefault(c.id, c)) is not c and first != c:
+                    raise ValidationError(f"component {c.id!r} has different descriptors under two tasks")
 
     def validate_against(self, pm: bpmn.ProcessModel) -> None:
         self.validate()
@@ -178,23 +184,30 @@ def generate_plans(
     product of candidate lists; planId concatenates the bound component ids
     in task document order."""
     reg.validate_against(pm)
-    tasks = [n for n in bpmn.document_order(pm) if isinstance(n, bpmn.ServiceTask)]
-    count = 1
-    for task in tasks:
-        count *= len(reg.candidates(task.id))
+    tasks = pm.index.service_tasks
+    count = math.prod(len(reg.candidates(t.id)) for t in tasks)
     if count > ceiling:
         raise PlanCountExceededError(f"{count} plans exceed the ceiling of {ceiling}")
+    return [_plan(tasks, combo, 0.0) for combo in itertools.product(*(reg.candidates(t.id) for t in tasks))]
 
-    plans: list[CompositionPlan] = []
-    for combo in itertools.product(*(reg.candidates(t.id) for t in tasks)):
-        bindings = tuple((task.id, comp.id) for task, comp in zip(tasks, combo))
-        plan_id = "+".join(comp.id for comp in combo)
-        plans.append(CompositionPlan(plan_id=plan_id, bindings=bindings))
-    return plans
+
+def _plan(tasks, combo, rank_score: float) -> CompositionPlan:
+    bindings = tuple((task.id, c.id) for task, c in zip(tasks, combo))
+    return CompositionPlan("+".join(c.id for c in combo), bindings, rank_score)
 
 
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
+
+
+def _score(comps, criteria: RankingCriteria, max_mean_cost: float) -> float:
+    """(wT*meanTrust + wQ*meanQos - wC*meanCost/maxMeanCost) / (wT+wQ+wC)."""
+    norm_cost = _mean([c.cost for c in comps]) / max_mean_cost if max_mean_cost > 0 else 0.0
+    return (
+        criteria.w_trust * _mean([c.trustworthiness for c in comps])
+        + criteria.w_qos * _mean([c.latency_score for c in comps])
+        - criteria.w_cost * norm_cost
+    ) / (criteria.w_trust + criteria.w_qos + criteria.w_cost)
 
 
 def rank_plans(
@@ -202,36 +215,92 @@ def rank_plans(
     criteria: RankingCriteria,
     reg: CandidateRegistry,
 ) -> list[CompositionPlan]:
-    """Score = (wT*meanTrust + wQ*meanQos - wC*meanCost/maxMeanCost) / (wT+wQ+wC),
-    sorted best first, ties broken by planId ascending."""
+    """Scored by _score, maxMeanCost over the given plans; sorted best first,
+    ties broken by planId ascending."""
     if not plans:
         raise EmptyInputError("no plans to rank")
     criteria.validate()
 
-    def bound(plan: CompositionPlan) -> list[ComponentDescriptor]:
-        comps = []
-        for task_id, comp_id in plan.bindings:
-            c = reg.component(comp_id)
-            if c is None:
-                raise ValidationError(f"plan {plan.plan_id!r} binds unknown component {comp_id!r}")
-            comps.append(c)
-        return comps
-
-    mean_costs = {p.plan_id: _mean([c.cost for c in bound(p)]) for p in plans}
-    max_mean_cost = max(mean_costs.values())
-    total = criteria.w_trust + criteria.w_qos + criteria.w_cost
-
-    scored: list[CompositionPlan] = []
+    known = {c.id: c for c in reg.all_components()}
     for p in plans:
-        comps = bound(p)
-        norm_cost = mean_costs[p.plan_id] / max_mean_cost if max_mean_cost > 0 else 0.0
-        score = (
-            criteria.w_trust * _mean([c.trustworthiness for c in comps])
-            + criteria.w_qos * _mean([c.latency_score for c in comps])
-            - criteria.w_cost * norm_cost
-        ) / total
-        scored.append(replace(p, rank_score=score))
+        for _, comp_id in p.bindings:
+            if comp_id not in known:
+                raise ValidationError(f"plan {p.plan_id!r} binds unknown component {comp_id!r}")
+    bound_comps = [[known[comp_id] for _, comp_id in p.bindings] for p in plans]
+    max_mean_cost = max(_mean([c.cost for c in comps]) for comps in bound_comps)
+    scored = [
+        replace(p, rank_score=_score(comps, criteria, max_mean_cost))
+        for p, comps in zip(plans, bound_comps)
+    ]
     return sorted(scored, key=lambda p: (-p.rank_score, p.plan_id))
+
+
+@dataclass(frozen=True)
+class CandidateTable:
+    """What plan choice needs that no threat level or flag changes."""
+
+    process: bpmn.ProcessModel
+    criteria: RankingCriteria
+    max_mean_cost: float
+    # per service task in document order: the task, its candidates with their
+    # one-task scores (best first), and the rules whose subject it is
+    rows: tuple[tuple[bpmn.ServiceTask, list[tuple[float, ComponentDescriptor]], list[AdaptationRule]], ...]
+
+
+def candidate_table(
+    pm: bpmn.ProcessModel,
+    reg: CandidateRegistry,
+    criteria: RankingCriteria,
+    rules: list[AdaptationRule],
+) -> CandidateTable:
+    """reg must pass validate_against(pm). The mean of per-task maximum costs
+    equals rank_plans' maximum mean cost exactly: float addition is monotone."""
+    tasks = pm.index.service_tasks
+    max_mean_cost = _mean([max(c.cost for c in reg.candidates(t.id)) for t in tasks])
+    rows = []
+    for task in tasks:
+        scored = [(_score([c], criteria, max_mean_cost), c) for c in reg.candidates(task.id)]
+        scored.sort(key=lambda sc: sc[0], reverse=True)
+        rows.append((task, scored, [r for r in rules if r.subject_task_id == task.id]))
+    return CandidateTable(pm, criteria, max_mean_cost, tuple(rows))
+
+
+def select_plan(
+    table: CandidateTable,
+    levels: dict[tuple[str, str], float],
+    excluded: Container[str],
+) -> CompositionPlan | None:
+    """The first plan of rank_plans(generate_plans(pm, reg)) that binds no
+    excluded component and passes verify_plan, or None if none does.
+
+    A plan's score is the mean of its components' one-task scores and
+    verify_plan fails on single bindings, so each task keeps its best allowed
+    candidates on its own. Those within 1e-9 of a task's best are kept too,
+    and their product is scored with the full formula, so float rounding and
+    planId tie-breaks match rank_plans.
+    """
+    best = []
+    for task, scored, task_rules in table.rows:
+        tied: list[ComponentDescriptor] = []
+        for score, c in scored:
+            if tied and score < top - 1e-9:
+                break
+            if c.id in excluded or task_rules and not verify_plan(
+                CompositionPlan(c.id, ((task.id, c.id),)), table.process, task_rules, levels
+            ).passed:
+                continue
+            if not tied:
+                top = score
+            tied.append(c)
+        if not tied:
+            return None
+        best.append(tied)
+    tasks = table.process.index.service_tasks
+    plans = (
+        _plan(tasks, combo, _score(combo, table.criteria, table.max_mean_cost))
+        for combo in itertools.product(*best)
+    )
+    return min(plans, key=lambda p: (-p.rank_score, p.plan_id))
 
 
 def verify_plan(

@@ -4,7 +4,7 @@ A rule names the event type it reacts to, the service task it governs, an
 optional probability predicate, an execution-window scope and the action to
 take. Evaluation is a pure function; the runtime serializes calls. This
 module also derives the bus subscriptions a deployment needs from its rules
-and candidate plans.
+and the per-task candidates of its registry.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .bus import EventType, Notification
 from .errors import DerivationError, EvaluationError, ParseError, ValidationError
 
 if TYPE_CHECKING:
-    from .composition import CompositionPlan
+    from .composition import CandidateRegistry
 
 
 class Comparator(Enum):
@@ -196,25 +196,19 @@ def evaluate(
 
 def derive_subscriptions(
     rules: list[AdaptationRule],
-    plans: list["CompositionPlan"],
+    reg: "CandidateRegistry",
 ) -> set[str]:
-    """One topic per (rule, component bound to its subject task in any plan),
-    so subscriptions already cover every future recomposition."""
+    """One topic per (rule, candidate of its subject task), so subscriptions
+    already cover every future recomposition."""
     topics: set[str] = set()
     for rule in rules:
-        subjects = {
-            comp_id
-            for plan in plans
-            for task_id, comp_id in plan.bindings
-            if task_id == rule.subject_task_id
-        }
+        subjects = reg.candidates(rule.subject_task_id)
         if not subjects:
             raise DerivationError(
                 f"rule {rule.rule_id!r} subject task {rule.subject_task_id!r} "
-                "has no candidate component in any plan"
+                "has no candidate component"
             )
-        for comp_id in subjects:
-            topics.add(f"{rule.event_type.kebab}.{comp_id}")
+        topics.update(f"{rule.event_type.kebab}.{c.id}" for c in subjects)
     return topics
 
 

@@ -1,10 +1,10 @@
 """Service runtime environment: deploy, execute, monitor, adapt.
 
-A deployment binds a process model to ranked composition plans, registers
-the bus subscriptions its rules need, and then runs process instances with
-token semantics. Incoming notifications update the threat state, are
-matched against the rules, and may trigger stop, recomposition, an
-auxiliary process launch, or an outbound notify.
+A deployment binds a process model to its best composition plan, chosen
+task by task, registers the bus subscriptions its rules need, and then runs
+process instances with token semantics. Incoming notifications update the
+threat state, are matched against the rules, and may trigger stop,
+recomposition, an auxiliary process launch, or an outbound notify.
 
 All public entry points of one DeployedService serialize on a single lock:
 notification handling is FIFO and rule evaluation race-free. Separate
@@ -28,9 +28,11 @@ from .composition import (
     CompositionPlan,
     RankingCriteria,
     ThreatState,
+    candidate_table,
     generate_plans,
     rank_plans,
-    verify_plan,
+    select_plan,
+    verify_plan,  # noqa: F401  perfbench's traced run wraps it under this module
 )
 from .errors import (
     ComponentFault,
@@ -142,8 +144,6 @@ class DeployedService:
         registry: CandidateRegistry,
         rules: list[AdaptationRule],
         criteria: RankingCriteria,
-        plans: list[CompositionPlan],
-        active_plan_id: str,
         broker: Broker,
         invoker: ComponentInvoker,
         subscriptions: list[str],
@@ -154,9 +154,12 @@ class DeployedService:
         self.process = process
         self.registry = registry
         self.rules = sorted(rules, key=lambda r: r.rule_id)
+        # wholeProcess rules see the active plan, the others each live instance
+        self._service_rules = [r for r in self.rules if r.scope.kind is ScopeKind.WHOLE_PROCESS]
+        self._instance_rules = [r for r in self.rules if r.scope.kind is not ScopeKind.WHOLE_PROCESS]
         self.criteria = criteria
-        self.plans = plans
-        self.active_plan_id = active_plan_id
+        self._candidates = candidate_table(process, registry, criteria, self.rules)
+        self._plan = select_plan(self._candidates, {}, ())  # every plan passes with no threat levels
         self.threat_state = ThreatState()
         self.status = ServiceStatus.RUNNING
         self.instances: dict[str, ProcessInstance] = {}
@@ -174,16 +177,6 @@ class DeployedService:
         # a flagged pair re-enters ranking once its level drops below every
         # applicable rule threshold
         self._flagged: dict[str, str | None] = {}
-        # adjacency, frozen at deploy time
-        self._out: dict[str, list[str]] = {n.id: [] for n in process.nodes}
-        self._join_indegree: dict[str, int] = {}
-        for f in sorted(process.flows, key=lambda f: f.id):
-            self._out[f.from_node].append(f.to_node)
-        for f in process.flows:
-            self._join_indegree[f.to_node] = self._join_indegree.get(f.to_node, 0) + 1
-        self._task_ids = [
-            n.id for n in bpmn.document_order(process) if isinstance(n, bpmn.ServiceTask)
-        ]
 
     # -- observability
 
@@ -204,14 +197,17 @@ class DeployedService:
 
     # -- plan helpers
 
-    def plan_by_id(self, plan_id: str) -> CompositionPlan:
-        for p in self.plans:
-            if p.plan_id == plan_id:
-                return p
-        raise ValidationError(f"no plan {plan_id!r} in service {self.service_id!r}")
+    @property
+    def plans(self) -> list[CompositionPlan]:
+        """Every plan ranked, enumerated on each access (up to PLAN_CEILING)."""
+        return rank_plans(generate_plans(self.process, self.registry), self.criteria, self.registry)
+
+    @property
+    def active_plan_id(self) -> str:
+        return self._plan.plan_id
 
     def active_plan(self) -> CompositionPlan:
-        return self.plan_by_id(self.active_plan_id)
+        return self._plan
 
     def required_inputs(self) -> list[str]:
         tasks = self.process.service_tasks()
@@ -240,7 +236,7 @@ class DeployedService:
                 plan_id=plan.plan_id,
                 bindings=dict(plan.bindings),
                 variables=dict(variables),
-                task_ids=self._task_ids,
+                task_ids=[t.id for t in self.process.index.service_tasks],
                 start_node=self.process.start_event().id,
             )
             self.instances[instance_id] = inst
@@ -252,10 +248,8 @@ class DeployedService:
         with self._lock:
             inst = self.instances[instance_id]
             budget = 2 * len(self.process.nodes) + len(self.process.flows) + 8
-            for task_id in self._task_ids:
-                comp_id = inst.bindings.get(task_id)
-                task = self.process.node_by_id(task_id)
-                if comp_id:
+            for task in self.process.index.service_tasks:
+                if comp_id := inst.bindings.get(task.id):
                     budget += self.invoker.delay_steps(comp_id, task.operation_ref)
             while inst.outcome is Outcome.IN_PROGRESS and inst._tokens:
                 if inst.steps >= budget:
@@ -287,7 +281,7 @@ class DeployedService:
                     self._forward(inst, node_id)
                 else:
                     arrived = inst._join_arrivals.get(node_id, 0) + 1
-                    if arrived >= self._join_indegree.get(node_id, 0):
+                    if arrived >= self.process.index.indegree.get(node_id, 0):
                         inst._join_arrivals[node_id] = 0
                         self._forward(inst, node_id)
                     else:
@@ -302,8 +296,7 @@ class DeployedService:
             return inst
 
     def _forward(self, inst: ProcessInstance, node_id: str) -> None:
-        for target in self._out[node_id]:
-            inst._tokens.append(target)
+        inst._tokens.extend(self.process.index.successors[node_id])
 
     def _step_task(self, inst: ProcessInstance, task: bpmn.ServiceTask) -> None:
         status = inst.task_status[task.id]
@@ -374,14 +367,7 @@ class DeployedService:
         comp_id: str,
         fault: ComponentFault,
     ) -> None:
-        boundary = next(
-            (
-                b
-                for b in self.process.boundary_events()
-                if b.attached_to == task.id and b.error_ref == fault.error_id
-            ),
-            None,
-        )
+        boundary = self.process.index.boundaries.get(task.id, {}).get(fault.error_id)
         handled = boundary is not None
         self._log(
             EventKind.TASK_FAILED,
@@ -465,36 +451,17 @@ class DeployedService:
                 )
 
             actions: list[dict] = []
-            active = self.active_plan()
-            for rule in self.rules:
-                if rule.scope.kind is not ScopeKind.WHOLE_PROCESS:
-                    continue
-                binding = active.binding_for(rule.subject_task_id)
-                if binding is None:
-                    continue
-                if evaluate(rule, n, InstancePosition(), binding):
-                    self._log(
-                        EventKind.RULE_MATCHED,
-                        {"rule": rule.rule_id, "level": "service", "topic": n.topic},
-                    )
-                    actions.append(self._execute_action(rule, n, None))
-                    if rule.action.kind in (ActionKind.STOP, ActionKind.RECOMPOSE):
-                        return actions
-
-            for inst in list(self.instances.values()):
-                if inst.outcome is not Outcome.IN_PROGRESS:
-                    continue
-                for rule in self.rules:
-                    if rule.scope.kind is ScopeKind.WHOLE_PROCESS:
-                        continue
-                    binding = inst.bindings.get(rule.subject_task_id)
+            targets = [(None, dict(self._plan.bindings), self._service_rules)]
+            targets += [(i, i.bindings, self._instance_rules) for i in self.live_instances()]
+            for inst, bindings, rules in targets:
+                for rule in rules:
+                    binding = bindings.get(rule.subject_task_id)
                     if binding is None:
                         continue
-                    if evaluate(rule, n, inst.position(), binding):
-                        self._log(
-                            EventKind.RULE_MATCHED,
-                            {"rule": rule.rule_id, "level": inst.instance_id, "topic": n.topic},
-                        )
+                    position = inst.position() if inst else InstancePosition()
+                    if evaluate(rule, n, position, binding):
+                        level = inst.instance_id if inst else "service"
+                        self._log(EventKind.RULE_MATCHED, {"rule": rule.rule_id, "level": level, "topic": n.topic})
                         actions.append(self._execute_action(rule, n, inst))
                         if rule.action.kind in (ActionKind.STOP, ActionKind.RECOMPOSE):
                             return actions
@@ -541,9 +508,9 @@ class DeployedService:
         return stopped
 
     def act_recompose(self, flagged_component_id: str, threat_id: str | None = None) -> RecomposeResult:
-        """Exclude plans binding any flagged component, re-verify the rest in
-        rank order against the current threat state, switch to the first that
-        passes. With no passing plan the service stops and says so on the bus."""
+        """Choose the best plan that binds no flagged component and verifies
+        against the current threat state, and switch to it. With no passing
+        plan the service stops and says so on the bus."""
         with self._lock:
             if flagged_component_id not in self._flagged:
                 self._flagged[flagged_component_id] = threat_id
@@ -553,13 +520,9 @@ class DeployedService:
             self._prune_flags(levels, keep=flagged_component_id)
 
             old_plan_id = self.active_plan_id
-            for plan in self.plans:
-                if plan.component_ids() & self._flagged.keys():
-                    continue
-                verdict = verify_plan(plan, self.process, self.rules, levels)
-                if not verdict.passed:
-                    continue
-                self.active_plan_id = plan.plan_id
+            plan = select_plan(self._candidates, levels, self._flagged.keys())
+            if plan is not None:
+                self._plan = plan
                 adopted = self._adopt_bindings(plan)
                 self._log(
                     EventKind.ACTION_TAKEN,
@@ -668,8 +631,7 @@ def deploy(
     clock=None,
     aux: dict[str, DeployedService] | None = None,
 ) -> DeployedService:
-    """Rank all plans, activate the best one that verifies against the (empty)
-    initial threat state, and register the rule-derived subscriptions."""
+    """Activate the best plan and register the rule-derived subscriptions."""
     violations = bpmn.validate(pm)
     if violations:
         raise ValidationError("process model invalid: " + "; ".join(violations))
@@ -679,19 +641,11 @@ def deploy(
     for rule in rules:
         rule.validate_against(pm)
     try:
-        plans = rank_plans(generate_plans(pm, reg), criteria, reg)
+        reg.validate_against(pm)
     except MissingCandidatesError as exc:
         raise DeploymentError(str(exc))
 
-    active_plan_id = None
-    for plan in plans:
-        if verify_plan(plan, pm, rules, {}).passed:
-            active_plan_id = plan.plan_id
-            break
-    if active_plan_id is None:
-        raise DeploymentError("no composition plan passes verification at deployment")
-
-    topics = sorted(derive_subscriptions(rules, plans))
+    topics = sorted(derive_subscriptions(rules, reg))
     for topic in topics:
         broker.subscribe(Subscription(subscriber_id=service_id, topic_pattern=topic))
 
@@ -701,8 +655,6 @@ def deploy(
         registry=reg,
         rules=rules,
         criteria=criteria,
-        plans=plans,
-        active_plan_id=active_plan_id,
         broker=broker,
         invoker=invoker,
         subscriptions=topics,

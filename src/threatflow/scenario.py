@@ -322,6 +322,18 @@ class DemoResult:
         return export_log_lines(self.service.merged_log())
 
 
+def deploy_bundle(bundle: Bundle, broker: Broker, invoker: ComponentInvoker,
+                  service_id: str, clock) -> DeployedService:
+    """The auxiliary processes, then the main process with them attached."""
+    aux = {
+        name: deploy(aux_pm, aux_reg, rules=[], criteria=bundle.criteria, broker=broker,
+                     invoker=invoker, service_id=name, clock=clock)
+        for name, aux_pm, aux_reg in bundle.aux
+    }
+    return deploy(bundle.process, bundle.registry, rules=list(bundle.rules), criteria=bundle.criteria,
+                  broker=broker, invoker=invoker, service_id=service_id, clock=clock, aux=aux)
+
+
 def run_demo(seed: int = 7, iata: str = "FCO", bundle_dir: Path | str | None = None) -> DemoResult:
     """The scripted incident timeline: deploy, run one instance, watch the
     active map component get DDoS-flagged at probability 0.8, recompose, run
@@ -333,31 +345,7 @@ def run_demo(seed: int = 7, iata: str = "FCO", bundle_dir: Path | str | None = N
 
     broker = Broker()
     invoker = MockInvoker(fixtures, bundle.mocks, clock=clock)
-
-    aux_services: dict[str, DeployedService] = {}
-    for name, aux_pm, aux_reg in bundle.aux:
-        aux_services[name] = deploy(
-            aux_pm,
-            aux_reg,
-            rules=[],
-            criteria=bundle.criteria,
-            broker=broker,
-            invoker=invoker,
-            service_id=name,
-            clock=clock,
-        )
-
-    svc = deploy(
-        bundle.process,
-        bundle.registry,
-        rules=list(bundle.rules),
-        criteria=bundle.criteria,
-        broker=broker,
-        invoker=invoker,
-        service_id="airport-report",
-        clock=clock,
-        aux=aux_services,
-    )
+    svc = deploy_bundle(bundle, broker, invoker, "airport-report", clock)
 
     first_plan = svc.active_plan_id
     iid1 = svc.start_instance({"iata": iata})
@@ -393,11 +381,12 @@ def run_demo(seed: int = 7, iata: str = "FCO", bundle_dir: Path | str | None = N
 def render_demo_text(result: DemoResult) -> str:
     """Human-readable demo transcript; the event log itself is line-JSON."""
     svc = result.service
+    plans = svc.plans
     out = [
         f"service: {svc.service_id}",
-        f"plans ({len(svc.plans)}):",
+        f"plans ({len(plans)}):",
     ]
-    for p in svc.plans:
+    for p in plans:
         marker = "*" if p.plan_id == svc.active_plan_id else " "
         out.append(f"  {marker} {p.plan_id}  score={p.rank_score:.4f}")
     out.append(f"active plan before threat: {result.plan_ids[0]}")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -306,3 +307,39 @@ def test_threat_refs_match_direct_boundary_scan():
         pm = bpmn.attach_threat(pm, task, ref)
     oracle = {(b.attached_to, b.error_ref) for b in pm.boundary_events()}
     assert bpmn.list_threat_refs(pm) == oracle == set(pairs)
+
+
+def test_index_is_built_once_and_leaves_value_semantics_alone():
+    pm = bpmn.attach_threat(linear_model(), "t1", "T-DOS")
+    twin = bpmn.ProcessModel(id=pm.id, name=pm.name, nodes=pm.nodes, flows=pm.flows, errors=pm.errors)
+    before = hash(pm)
+    idx = pm.index
+    assert pm.index is idx
+    assert pm == twin and hash(pm) == before == hash(twin)
+    assert repr(pm) == repr(twin)
+    renamed = replace(pm, name="Renamed")
+    assert renamed.index is not idx and renamed.nodes == pm.nodes
+
+
+def test_index_tables():
+    pm = bpmn.attach_threat(linear_model(), "t1", "T-DOS")
+    pm = replace(pm, flows=pm.flows + (bpmn.SequenceFlow(id="f0", from_node="t1", to_node="end"),))
+    idx = pm.index
+    assert pm.node_by_id("t2") == bpmn.ServiceTask(id="t2", name="Task 2", operation_ref="op2")
+    assert pm.node_by_id("ghost") is None
+    assert idx.successors["t1"] == ["end", "t2"]  # f0 sorts before f2
+    assert idx.indegree == {"start": 0, "t1": 1, "t2": 1, "end": 2, "boundary-t1-T-DOS": 0}
+    assert idx.boundaries["t1"]["T-DOS"].handler_target == "end"
+    assert [t.id for t in idx.service_tasks] == ["t1", "t2"]
+    assert idx.order == bpmn.document_order(pm)
+
+
+def test_index_tolerates_models_that_fail_validation():
+    pm = bpmn.ProcessModel(
+        id="p",
+        nodes=(bpmn.StartEvent(id="s"), bpmn.ServiceTask(id="s"), bpmn.EndEvent(id="e")),
+        flows=(bpmn.SequenceFlow(id="f1", from_node="ghost", to_node="e"),),
+    )
+    assert pm.node_by_id("s") == bpmn.StartEvent(id="s")
+    assert pm.index.successors["ghost"] == ["e"]
+    assert bpmn.validate(pm)

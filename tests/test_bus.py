@@ -242,3 +242,81 @@ def test_unsubscribing_one_pattern_keeps_the_other():
     assert broker.poll("sre").subject_component_id == "mapA"
     assert broker.has_subscription("sre", "threat-level-change.mapA")
     assert not broker.has_subscription("sre", "threat-level-change.mapB")
+
+
+class FakeBusServer:
+    """Single-connection stand-in for BusServer: records every record it
+    receives and answers each with the records `reply` returns for it."""
+
+    def __init__(self, reply):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self.received = []
+        self._reply = reply
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as lines:
+            for line in lines:
+                rec = json.loads(line)
+                self.received.append(rec)
+                for out in self._reply(rec):
+                    conn.sendall((json.dumps(out) + "\n").encode())
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=2)
+
+
+def test_client_rejects_empty_subscriber_id_before_sending():
+    def reply(rec):
+        if rec["op"] == "SUB" and not rec["subscriberId"]:
+            return [{"op": "ACKCOUNT", "count": -1, "error": "empty subscriberId"}]
+        return [{"op": "ACKCOUNT", "count": 3}] if rec["op"] == "PUB" else []
+
+    server = FakeBusServer(reply)
+    client = BusClient("127.0.0.1", server.port, timeout=2.0)
+    try:
+        with pytest.raises(ValidationError):
+            client.subscribe("", "threat-level-change.*")
+        assert client.publish(notification()) == 3
+        assert [rec["op"] for rec in server.received] == ["PUB"]
+    finally:
+        client.close()
+        server.close()
+
+
+def test_client_reader_survives_malformed_msg():
+    good = notification(seq=7).to_record()
+    good["op"] = "MSG"
+    bad = dict(good, type="NoSuchEvent")
+
+    def reply(rec):
+        return [bad, good, {"op": "ACKCOUNT", "count": 1}] if rec["op"] == "PUB" else []
+
+    server = FakeBusServer(reply)
+    client = BusClient("127.0.0.1", server.port, timeout=2.0)
+    try:
+        assert client.publish(notification(seq=1)) == 1
+        assert client.publish(notification(seq=2)) == 1
+        assert client.receive(timeout=2.0) == notification(seq=7)
+        assert client.receive(timeout=2.0) == notification(seq=7)
+        assert client.receive() is None
+    finally:
+        client.close()
+        server.close()
+
+
+def test_close_and_stop_end_the_bus_threads():
+    server = BusServer().start()
+    client = BusClient("127.0.0.1", server.port)
+    client.subscribe("sre-1", "threat-level-change.*")
+    assert client.publish(notification()) == 1
+    client.close()
+    client._reader_thread.join(timeout=2)
+    assert not client._reader_thread.is_alive()
+    server.stop()
+    server._accept_thread.join(timeout=2)
+    assert not server._accept_thread.is_alive()

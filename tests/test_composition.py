@@ -338,3 +338,64 @@ def test_verify_passes_everything_on_empty_threat_state():
     )
     for plan in generate_plans(pm, reg):
         assert verify_plan(plan, pm, [rule], {}).passed
+
+
+@pytest.mark.parametrize("bad_id", ["a+b", "a.b", "mapA*", "map A", "map\tA"])
+def test_component_ids_with_plan_or_topic_syntax_rejected(bad_id):
+    reg = CandidateRegistry(entries=(("t1", (comp(bad_id, "op1"),)),))
+    with pytest.raises(ValidationError):
+        reg.validate()
+
+
+def test_shared_component_id_needs_one_descriptor():
+    shared = ComponentDescriptor(
+        id="shared", provider="prov", operation_ref="", trustworthiness=0.5, latency_score=0.5
+    )
+    CandidateRegistry(entries=(("t1", (shared,)), ("t2", (shared,)))).validate()
+    other = ComponentDescriptor(
+        id="shared", provider="prov", operation_ref="", trustworthiness=0.9, latency_score=0.5
+    )
+    with pytest.raises(ValidationError):
+        CandidateRegistry(entries=(("t1", (shared,)), ("t2", (other,)))).validate()
+
+
+def test_select_plan_skips_flagged_and_failing_candidates():
+    pm = two_task_model()
+    reg = CandidateRegistry(
+        entries=(
+            ("t1", (comp("best", "op1", trust=0.9), comp("next", "op1", trust=0.7),
+                    comp("last", "op1", trust=0.1))),
+            ("t2", (comp("only", "op2"),)),
+        )
+    )
+    rule = AdaptationRule(
+        rule_id="r1",
+        event_type=EventType.THREAT_LEVEL_CHANGE,
+        subject_task_id="t1",
+        action=Action(kind=ActionKind.RECOMPOSE),
+        threat_id="T-DOS",
+        predicate=Predicate(comparator=Comparator.GE, threshold=0.5),
+    )
+    table = composition.candidate_table(pm, reg, RankingCriteria(1.0, 1.0, 1.0), [rule])
+    assert composition.select_plan(table, {}, ()).plan_id == "best+only"
+    levels = {("next", "T-DOS"): 0.8}
+    assert composition.select_plan(table, levels, {"best"}).plan_id == "last+only"
+    assert composition.select_plan(table, levels, {"best", "last"}) is None
+
+
+def test_select_plan_rescores_candidates_that_tie_up_to_rounding():
+    # b and a score the same one-task value in exact arithmetic (0.3 + 0.0 vs
+    # 0.2 + 0.1); only the whole-plan formula tells which plan ranks first
+    pm = two_task_model()
+    reg = CandidateRegistry(
+        entries=(
+            ("t1", (comp("b", "op1", trust=0.3, qos=0.0, cost=0.1),
+                    comp("a", "op1", trust=0.2, qos=0.1, cost=0.1))),
+            ("t2", (comp("c", "op2", trust=0.7, qos=0.6, cost=0.1),)),
+        )
+    )
+    crit = RankingCriteria(0.1, 0.1, 0.0)
+    best = rank_plans(generate_plans(pm, reg), crit, reg)[0]
+    chosen = composition.select_plan(composition.candidate_table(pm, reg, crit, []), {}, ())
+    assert best.plan_id == "b+c"
+    assert (chosen.plan_id, chosen.rank_score) == (best.plan_id, best.rank_score)

@@ -1,5 +1,7 @@
 """Property-based checks for the invariants that hold over whole input spaces."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,11 +9,17 @@ from threatflow import bpmn
 from threatflow.bus import EventType, Notification, Payload, topic_matches
 from threatflow.composition import (
     CandidateRegistry,
+    candidate_table,
     ComponentDescriptor,
     RankingCriteria,
     generate_plans,
     rank_plans,
+    select_plan,
+    verify_plan,
 )
+from threatflow.rules import Action, ActionKind, AdaptationRule, Comparator, Predicate
+
+from _generators import random_process
 
 SUBJECTS = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12
@@ -105,3 +113,79 @@ def test_ranking_is_a_sorted_permutation(metrics, weights):
     assert sorted(p.plan_id for p in ranked) == sorted(p.plan_id for p in plans)
     keys = [(-p.rank_score, p.plan_id) for p in ranked]
     assert keys == sorted(keys)
+
+
+# ids that sort before ('!', '#') and after ('0', 'a') the '+' joining plan ids
+SELECTION_IDS = ("a", "a!", "a0", "ab", "#x", "b", "b-1", "c", "c_2", "z")
+# (trust, qos, cost) profiles; ids share a few of them, so exact ties are
+# common, and sums such as 0.1 + 0.2 vs 0.3 + 0.0 tie only up to rounding
+SELECTION_PROFILES = st.sampled_from([
+    (0.1, 0.2, 0.1), (0.3, 0.0, 0.1), (0.2, 0.1, 0.1), (0.0, 0.3, 0.1),
+    (0.6, 0.3, 0.2), (0.9, 0.0, 0.2), (0.5, 0.5, 1.0), (1.0, 0.0, 0.0),
+])
+SELECTION_THREATS = ("T1", "T2")
+
+
+@st.composite
+def selection_cases(draw):
+    pm = random_process(draw(st.randoms(use_true_random=False)), max_tasks=4)
+    # no operationRefs, so one descriptor can serve several tasks
+    pm = replace(pm, nodes=tuple(replace(n, operation_ref="") if isinstance(n, bpmn.ServiceTask) else n
+                                 for n in pm.nodes))
+    # one descriptor per id, so an id shared by several tasks is valid
+    profiles = draw(st.lists(SELECTION_PROFILES, min_size=1, max_size=3))
+    pool = {
+        cid: ComponentDescriptor(cid, "prov", "", *draw(st.sampled_from(profiles)))
+        for cid in SELECTION_IDS
+    }
+    entries = tuple(
+        (t.id, tuple(pool[c] for c in draw(
+            st.lists(st.sampled_from(SELECTION_IDS), min_size=1, max_size=3, unique=True))))
+        for t in pm.service_tasks()
+    )
+    reg = CandidateRegistry(entries=entries)
+    reg.validate_against(pm)
+    weights = draw(st.tuples(*[st.sampled_from([0.0, 0.1, 0.3, 1.0])] * 3).filter(lambda w: sum(w) > 0))
+    rules = [
+        AdaptationRule(
+            rule_id=f"r{k}",
+            event_type=EventType.THREAT_LEVEL_CHANGE,
+            subject_task_id=draw(st.sampled_from([t.id for t in pm.service_tasks()])),
+            action=Action(kind=ActionKind.RECOMPOSE),
+            threat_id=draw(st.sampled_from(SELECTION_THREATS)),
+            predicate=Predicate(
+                comparator=draw(st.sampled_from(list(Comparator))),
+                threshold=draw(st.sampled_from([0.2, 0.5, 0.8])),
+            ),
+        )
+        for k in range(draw(st.integers(0, 3)))
+    ]
+    levels = draw(st.dictionaries(
+        st.tuples(st.sampled_from(SELECTION_IDS), st.sampled_from(SELECTION_THREATS)),
+        st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]),
+        max_size=6,
+    ))
+    flagged = draw(st.sets(st.sampled_from(SELECTION_IDS), max_size=3))
+    return pm, reg, RankingCriteria(*weights), rules, levels, flagged
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=selection_cases())
+def test_select_plan_matches_first_passing_ranked_plan(case):
+    pm, reg, criteria, rules, levels, flagged = case
+    oracle = next(
+        (
+            p
+            for p in rank_plans(generate_plans(pm, reg), criteria, reg)
+            if not p.component_ids() & flagged and verify_plan(p, pm, rules, levels).passed
+        ),
+        None,
+    )
+    chosen = select_plan(candidate_table(pm, reg, criteria, rules), levels, flagged)
+    if oracle is None:
+        assert chosen is None
+    else:
+        assert chosen is not None
+        assert (chosen.plan_id, chosen.bindings, chosen.rank_score) == (
+            oracle.plan_id, oracle.bindings, oracle.rank_score,
+        )

@@ -133,7 +133,7 @@ def http_repo(tmp_path):
     store = repo.Repository(tmp_path / "repo.json")
     store.put_threat(sample_threat())
     server = repo.make_server(store)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
     yield store, f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 

@@ -4,7 +4,7 @@ import pytest
 
 from threatflow import rules as r
 from threatflow.bus import EventType, Notification, Payload
-from threatflow.composition import CompositionPlan
+from threatflow.composition import CandidateRegistry, ComponentDescriptor
 from threatflow.errors import DerivationError, EvaluationError, ValidationError
 
 
@@ -130,19 +130,24 @@ def test_evaluate_rejects_malformed_notification():
         r.evaluate(rule(), bad, r.InstancePosition(), "comp-1")
 
 
+def registry(**candidates):
+    """Task id -> component ids, one default descriptor each."""
+    return CandidateRegistry(
+        entries=tuple(
+            (task_id, tuple(ComponentDescriptor(cid, "prov", "", 0.5, 0.5) for cid in ids))
+            for task_id, ids in candidates.items()
+        )
+    )
+
+
 def test_derive_subscriptions_covers_candidates_in_all_plans():
-    plans = [
-        CompositionPlan(plan_id="a+x", bindings=(("t1", "a"), ("t2", "x"))),
-        CompositionPlan(plan_id="b+x", bindings=(("t1", "b"), ("t2", "x"))),
-    ]
-    topics = r.derive_subscriptions([rule()], plans)
+    topics = r.derive_subscriptions([rule()], registry(t1=["a", "b"], t2=["x"]))
     assert topics == {"threat-level-change.a", "threat-level-change.b"}
 
 
 def test_derive_subscriptions_requires_a_candidate_somewhere():
-    plans = [CompositionPlan(plan_id="x", bindings=(("t2", "x"),))]
     with pytest.raises(DerivationError):
-        r.derive_subscriptions([rule()], plans)
+        r.derive_subscriptions([rule()], registry(t2=["x"]))
 
 
 def test_rule_records_roundtrip():
@@ -174,8 +179,7 @@ def test_action_params_lookup():
 
 
 def test_no_rules_derive_no_subscriptions():
-    plan = CompositionPlan(plan_id="a", bindings=(("t1", "a"),))
-    assert r.derive_subscriptions([], [plan]) == set()
+    assert r.derive_subscriptions([], registry(t1=["a"])) == set()
 
 
 def test_derivation_matches_bruteforce_cross_product():
@@ -220,5 +224,5 @@ def test_derivation_matches_bruteforce_cross_product():
             for task_id, comp_id in plan.bindings
             if task_id == ru.subject_task_id
         }
-        assert r.derive_subscriptions(rules, plans) == oracle
+        assert r.derive_subscriptions(rules, reg) == oracle
         assert oracle  # every rule's subject is a real task, so never empty

@@ -3,7 +3,12 @@ import pytest
 from threatflow import bpmn, runtime
 from threatflow.bus import Broker, EventType, Notification, Payload, Publisher, Subscription
 from threatflow.composition import CandidateRegistry, ComponentDescriptor, RankingCriteria
-from threatflow.errors import ComponentFault, DeploymentError, ValidationError
+from threatflow.errors import (
+    ComponentFault,
+    DeploymentError,
+    PlanCountExceededError,
+    ValidationError,
+)
 from threatflow.rules import (
     Action,
     ActionKind,
@@ -528,3 +533,20 @@ def test_unmatched_event_type_logs_receipt_and_nothing_else():
     assert actions == []
     tail = svc.event_log[before:]
     assert [e.kind for e in tail] == [EventKind.NOTIFICATION_RECEIVED]
+
+
+def test_plan_space_beyond_the_listing_ceiling_deploys_and_recomposes():
+    """14 tasks x 2 candidates is 16,384 plans, more than PLAN_CEILING: plan
+    choice works task by task, and only the full listing is refused."""
+    pm = linear_model(n_tasks=14)
+    svc = make_service(pm=pm, counts={t.id: 2 for t in pm.service_tasks()}, rules=[tlc_rule(task="t9")])
+    assert svc.active_plan_id == "+".join(f"t{i}-c1" for i in range(1, 15))
+    with pytest.raises(PlanCountExceededError):
+        svc.plans
+
+    actions = svc.on_notification(threat_notification("t9-c1", 0.9))
+    assert actions[0]["outcome"] == f"switched:{svc.active_plan_id}"
+    assert svc.active_plan_id == "+".join(f"t{i}-c{2 if i == 9 else 1}" for i in range(1, 15))
+    inst = svc.instances[svc.start_instance({"seed": "x"})]
+    assert inst.outcome is Outcome.COMPLETED
+    assert inst.bindings["t9"] == "t9-c2"
