@@ -384,8 +384,8 @@ def attach_threat(
 
     handler_target defaults to the process end event.
     """
-    task = pm.node_by_id(task_id)
-    if task is None or not isinstance(task, ServiceTask):
+    task = next((n for n in pm.nodes if n.id == task_id), None)
+    if not isinstance(task, ServiceTask):
         raise NotFoundError(f"no service task {task_id!r} in process {pm.id!r}")
     if not threat_id:
         raise ValidationError("threat id is empty")
@@ -398,7 +398,7 @@ def attach_threat(
                 f"process {pm.id!r} has {len(ends)} end events; handler target must be explicit"
             )
         handler_target = ends[0].id
-    elif pm.node_by_id(handler_target) is None:
+    elif all(n.id != handler_target for n in pm.nodes):
         raise NotFoundError(f"handler target {handler_target!r} names no node")
 
     boundary = ErrorBoundaryEvent(

@@ -3,7 +3,12 @@
 The broker delivers notifications at most once per live subscriber, keeps
 per-publisher FIFO order, and never blocks a publisher on a slow consumer:
 each subscriber owns a bounded queue whose overflow drops the oldest entry
-and bumps a drop counter (best-effort delivery, no retransmission).
+and bumps a drop counter (best-effort delivery, no retransmission). Its
+subscriptions are indexed by pattern, so a publish costs O(matches).
+
+At most once means per (publisher, seq): the broker drops a notification at
+or below the highest seq it accepted from that publisher id, so a publisher
+id that restarts its seq on a live broker is dropped until it passes it.
 
 The same broker core runs in-process or behind a TCP server speaking
 newline-delimited UTF-8 JSON records with op in {SUB, UNSUB, PUB, MSG,
@@ -21,6 +26,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import BusError, ValidationError
 
@@ -37,7 +43,7 @@ class EventType(Enum):
     CONTEXT_CHANGE = "ContextChange"
     COMPONENT_CHANGE = "ComponentChange"
 
-    @property
+    @cached_property
     def kebab(self) -> str:
         """Lower-kebab spelling used as the first topic segment."""
         out = []
@@ -171,6 +177,7 @@ def validate_pattern(pattern: str) -> None:
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
+    """The reference that tests hold the broker's pattern index to."""
     if pattern == topic:
         return True
     if pattern.endswith(".*"):
@@ -225,8 +232,9 @@ class Broker:
 
     def __init__(self, queue_capacity: int = DEFAULT_QUEUE_CAPACITY):
         self._lock = threading.Lock()
-        self._patterns: dict[str, set[str]] = {}  # subscriber id -> patterns
+        self._subscribers: dict[str, set[str]] = {}  # topic pattern -> subscriber ids
         self._queues: dict[str, _SubscriberQueue] = {}
+        self._last_seq: dict[str, int] = {}  # publisher id -> highest seq accepted
         self._queue_capacity = queue_capacity
 
     def subscribe(self, sub: Subscription) -> SubscriptionHandle:
@@ -234,34 +242,35 @@ class Broker:
         if not sub.subscriber_id:
             raise ValidationError("empty subscriberId")
         with self._lock:
-            patterns = self._patterns.setdefault(sub.subscriber_id, set())
-            patterns.add(sub.topic_pattern)  # duplicate (id, pattern) is idempotent
+            self._subscribers.setdefault(sub.topic_pattern, set()).add(sub.subscriber_id)  # idempotent
             if sub.subscriber_id not in self._queues:
                 self._queues[sub.subscriber_id] = _SubscriberQueue(self._queue_capacity)
         return SubscriptionHandle(sub.subscriber_id, sub.topic_pattern, self)
 
     def unsubscribe(self, handle: SubscriptionHandle) -> None:
         with self._lock:
-            patterns = self._patterns.get(handle.subscriber_id)
-            if not patterns or handle.topic_pattern not in patterns:
+            sids = self._subscribers.get(handle.topic_pattern)
+            if not sids or handle.subscriber_id not in sids:
                 log.warning(
                     "unsubscribe for unknown handle (%s, %s) ignored",
                     handle.subscriber_id, handle.topic_pattern,
                 )
                 return
-            patterns.discard(handle.topic_pattern)
-            if not patterns:
-                del self._patterns[handle.subscriber_id]
-                # queue stays drainable: in-flight items may still be consumed
+            sids.discard(handle.subscriber_id)
+            if not sids:
+                del self._subscribers[handle.topic_pattern]
+            # the queue stays drainable: in-flight items may still be consumed
 
     def publish(self, n: Notification) -> int:
+        """Deliveries made: 0 for a seq at or below its publisher's last one."""
         n.validate()
         with self._lock:
-            matched = [
-                sid for sid, patterns in self._patterns.items()
-                if any(topic_matches(p, n.topic) for p in patterns)
-            ]
-            # one delivery per subscriber even when several patterns match
+            if n.seq <= self._last_seq.get(n.publisher_id, -1):
+                return 0
+            self._last_seq[n.publisher_id] = n.seq
+            # subjects hold no '.' or '*' and patterns are exact or '<head>.*', so only
+            # n.topic and '<type>.*' can match; a subscriber holding both gets n once
+            matched = self._subscribers.get(n.topic, set()) | self._subscribers.get(f"{n.type.kebab}.*", set())
             for sid in matched:
                 self._queues[sid].offer(n)
         return len(matched)
@@ -285,7 +294,7 @@ class Broker:
 
     def has_subscription(self, subscriber_id: str, pattern: str) -> bool:
         with self._lock:
-            return pattern in self._patterns.get(subscriber_id, set())
+            return subscriber_id in self._subscribers.get(pattern, ())
 
 
 class Publisher:

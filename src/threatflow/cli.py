@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -436,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--value")
     sp.add_argument("--threat-id")
     sp.add_argument("--publisher-id", default="cli")
-    sp.add_argument("--seq", type=int, default=1)
+    sp.add_argument("--seq", type=int, default=time.time_ns())  # the broker drops a seq at or below its last one
 
     p_run = sub.add_parser("run", help="service runtime")
     run_sub = p_run.add_subparsers(dest="run_cmd", required=True)

@@ -454,11 +454,12 @@ class DeployedService:
             targets = [(None, dict(self._plan.bindings), self._service_rules)]
             targets += [(i, i.bindings, self._instance_rules) for i in self.live_instances()]
             for inst, bindings, rules in targets:
+                # no action that returns to this loop changes the instance's task status
+                position = inst.position() if inst else InstancePosition()
                 for rule in rules:
                     binding = bindings.get(rule.subject_task_id)
                     if binding is None:
                         continue
-                    position = inst.position() if inst else InstancePosition()
                     if evaluate(rule, n, position, binding):
                         level = inst.instance_id if inst else "service"
                         self._log(EventKind.RULE_MATCHED, {"rule": rule.rule_id, "level": level, "topic": n.topic})

@@ -95,6 +95,16 @@ def test_attach_threat_rejects_unknown_task_and_duplicates():
         bpmn.attach_threat(pm, "t1", "T-DOS")
 
 
+def test_attach_threat_builds_no_index_of_the_model_it_replaces():
+    pm = linear_model()
+    assert bpmn.attach_threat(pm, "t1", "T-DOS", handler_target="end").boundary_events()
+    with pytest.raises(NotFoundError):
+        bpmn.attach_threat(pm, "t1", "T-DOS", handler_target="nowhere")
+    with pytest.raises(NotFoundError):
+        bpmn.attach_threat(pm, "start", "T-DOS")  # a node, but no service task
+    assert "index" not in pm.__dict__
+
+
 def test_same_threat_on_two_tasks_builds_multiset():
     pm = bpmn.attach_threat(bpmn.attach_threat(linear_model(), "t1", "T-DOS"), "t2", "T-DOS")
     assert bpmn.error_ref_multiset(pm) == ["T-DOS", "T-DOS"]

@@ -55,6 +55,7 @@ def test_topic_matching_semantics():
 
 def test_event_type_kebab_mapping():
     assert EventType.THREAT_LEVEL_CHANGE.kebab == "threat-level-change"
+    assert EventType.THREAT_LEVEL_CHANGE.kebab is EventType.THREAT_LEVEL_CHANGE.kebab  # built once
     assert bus.event_type_for_kebab("context-change") is EventType.CONTEXT_CHANGE
     with pytest.raises(ValidationError):
         bus.event_type_for_kebab("no-such-event")
@@ -80,6 +81,21 @@ def test_subscribe_is_idempotent_unsubscribe_unknown_is_tolerated():
     broker.unsubscribe(h1)
     broker.unsubscribe(h1)  # second time only warns
     assert broker.publish(notification()) == 0
+
+
+def test_repeated_or_older_seq_is_not_delivered_again():
+    broker = Broker()
+    broker.subscribe(Subscription("s1", "threat-level-change.*"))
+    n = notification(seq=5)
+    assert broker.publish(n) == 1
+    assert broker.publish(n) == 0
+    assert broker.pending("s1") == 1
+    assert broker.publish(notification(seq=4)) == 0
+    assert broker.publish(notification(seq=5, publisher="monitor-2")) == 1  # one watermark per publisher
+    assert broker.publish(notification(seq=6)) == 1
+    got = [broker.poll("s1") for _ in range(4)]
+    assert [(g.publisher_id, g.seq) for g in got[:3]] == [("monitor-1", 5), ("monitor-2", 5), ("monitor-1", 6)]
+    assert got[3] is None
 
 
 def test_no_delivery_without_matching_subscription():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from threatflow import cli
+from threatflow import bus, cli
 from threatflow.scenario import DEMO_BUNDLE_DIR
 
 FIXTURES = Path(__file__).parent.parent / "src" / "threatflow" / "fixtures"
@@ -197,3 +197,17 @@ def test_demo_json_is_deterministic_modulo_timestamps(capsys):
         return lines
 
     assert one_run() == one_run()
+
+
+def test_repeated_bus_publish_reaches_the_subscriber_each_time(capsys):
+    server = bus.BusServer().start()
+    try:
+        server.broker.subscribe(bus.Subscription("sre", "threat-level-change.*"))
+        for _ in range(2):
+            assert run_cli("bus", "publish", "--port", str(server.port),
+                           "--topic", "threat-level-change.mapA",
+                           "--probability", "0.9", "--threat-id", "T-DOS") == 0
+        assert capsys.readouterr().out.count("delivered to 1 subscriber(s)") == 2
+        assert server.broker.pending("sre") == 2
+    finally:
+        server.stop()

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatflow import bpmn
-from threatflow.bus import EventType, Notification, Payload, topic_matches
+from threatflow.bus import (
+    Broker,
+    EventType,
+    Notification,
+    Payload,
+    Subscription,
+    SubscriptionHandle,
+    topic_matches,
+)
 from threatflow.composition import (
     CandidateRegistry,
     candidate_table,
@@ -34,6 +42,46 @@ def test_topic_matches_exact_and_wildcard(event_type, subject, other):
     assert topic_matches(f"{event_type.kebab}.*", topic)
     if other is not event_type:
         assert not topic_matches(f"{other.kebab}.*", topic)
+
+
+TLC, CTX = EventType.THREAT_LEVEL_CHANGE.kebab, EventType.CONTEXT_CHANGE.kebab
+PATTERNS = [f"{head}.{tail}" for head in (TLC, CTX, "no-such-type") for tail in ("a", "b", "*", "a.b")]
+SUBSCRIBER_IDS = ["s1", "s2", "s3"]
+BROKER_OPS = st.lists(
+    st.tuples(st.just("sub"), st.sampled_from(SUBSCRIBER_IDS), st.sampled_from(PATTERNS))
+    | st.tuples(st.just("unsub"), st.sampled_from(SUBSCRIBER_IDS), st.sampled_from(PATTERNS))
+    | st.tuples(st.just("pub"), st.sampled_from([EventType.THREAT_LEVEL_CHANGE, EventType.CONTEXT_CHANGE]),
+                st.sampled_from(["a", "b", "c"])),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=BROKER_OPS)
+def test_broker_index_delivers_as_a_scan_of_every_pattern(ops):
+    broker = Broker()
+    table: set[tuple[str, str]] = set()  # (subscriber id, pattern)
+    # s1 holds overlapping exact and wildcard patterns, and shares the wildcard with s2
+    ops = [("sub", "s1", f"{TLC}.a"), ("sub", "s1", f"{TLC}.*"), ("sub", "s2", f"{TLC}.*")] + ops
+    for seq, (op, x, y) in enumerate(ops, start=1):
+        if op == "sub":
+            broker.subscribe(Subscription(x, y))
+            table.add((x, y))
+        elif op == "unsub":
+            broker.unsubscribe(SubscriptionHandle(x, y, broker))  # only warns when (x, y) is not held
+            table.discard((x, y))
+        else:
+            n = Notification(type=x, topic=f"{x.kebab}.{y}", subject_component_id=y,
+                             payload=Payload(probability=0.5, value="v"), timestamp=1.0, seq=seq,
+                             publisher_id="monitor-1", threat_id="T-X")
+            want = {sid for sid, pattern in table if topic_matches(pattern, n.topic)}
+            assert broker.publish(n) == len(want)
+            got = {sid for sid in SUBSCRIBER_IDS if broker.poll(sid) is not None}
+            assert got == want
+            assert all(broker.poll(sid) is None for sid in SUBSCRIBER_IDS)
+        for sid in SUBSCRIBER_IDS:
+            for pattern in PATTERNS:
+                assert broker.has_subscription(sid, pattern) == ((sid, pattern) in table)
 
 
 @given(

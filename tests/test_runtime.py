@@ -306,6 +306,20 @@ def test_scoped_rule_evaluates_per_live_instance():
     assert matched.detail["level"] == iid
 
 
+def test_alert_reads_each_live_instance_position_once(monkeypatch):
+    calls = []
+    position = runtime.ProcessInstance.position
+    monkeypatch.setattr(runtime.ProcessInstance, "position",
+                        lambda inst: calls.append(inst.instance_id) or position(inst))
+    scoped = [tlc_rule(rule_id=f"r{k}", scope=Scope(kind=ScopeKind.BEFORE_TASK, ref_task_id="t2"),
+                       action=ActionKind.NOTIFY) for k in range(3)]
+    svc = make_service(counts={"t1": 1}, rules=scoped)
+    first = svc.start_instance({"seed": 1}, run=False)
+    second = svc.start_instance({"seed": 2}, run=False)
+    assert len(svc.on_notification(threat_notification("t1-c1", 0.9))) == 6
+    assert sorted(calls) == [first, second]
+
+
 def test_scoped_rule_silent_when_no_live_instance():
     scoped = tlc_rule(scope=Scope(kind=ScopeKind.DURING_TASK, ref_task_id="t2"),
                       action=ActionKind.NOTIFY)
