@@ -6,6 +6,12 @@ process instances with token semantics. Incoming notifications update the
 threat state, are matched against the rules, and may trigger stop,
 recomposition, an auxiliary process launch, or an outbound notify.
 
+An alert costs the service-scope rules plus, for each live instance, only
+the rules whose subject task that instance binds to the alert's subject; the
+service keeps its in-progress instances in an index of their own, so
+finished instances cost nothing. A plan switch rebinds only the tasks whose
+component changed.
+
 All public entry points of one DeployedService serialize on a single lock:
 notification handling is FIFO and rule evaluation race-free. Separate
 services are independent.
@@ -163,6 +169,14 @@ class DeployedService:
         self.threat_state = ThreatState()
         self.status = ServiceStatus.RUNNING
         self.instances: dict[str, ProcessInstance] = {}
+        # the in-progress subset of instances, in start order; an instance
+        # leaves it when its outcome leaves IN_PROGRESS
+        self._live: dict[str, ProcessInstance] = {}
+        tasks = process.index.service_tasks
+        self._task_ids = [t.id for t in tasks]
+        produced = {t.output_var for t in tasks if t.output_var}
+        self._required_inputs = sorted({v for t in tasks for v in t.input_vars} - produced)
+        self._start_node = process.start_event().id
         self.event_log: list[ExecutionEvent] = []
         self.subscriptions = subscriptions
         self.aux = aux or {}
@@ -210,13 +224,10 @@ class DeployedService:
         return self._plan
 
     def required_inputs(self) -> list[str]:
-        tasks = self.process.service_tasks()
-        produced = {t.output_var for t in tasks if t.output_var}
-        consumed = {v for t in tasks for v in t.input_vars}
-        return sorted(consumed - produced)
+        return list(self._required_inputs)
 
     def live_instances(self) -> list[ProcessInstance]:
-        return [i for i in self.instances.values() if i.outcome is Outcome.IN_PROGRESS]
+        return list(self._live.values())
 
     # -- instance execution
 
@@ -226,7 +237,7 @@ class DeployedService:
                 raise DeploymentError(
                     f"service {self.service_id!r} is stopped; new instances refused"
                 )
-            missing = [v for v in self.required_inputs() if v not in variables]
+            missing = [v for v in self._required_inputs if v not in variables]
             if missing:
                 raise ValidationError(f"missing required input variables: {', '.join(missing)}")
             instance_id = f"i{next(self._instance_counter)}"
@@ -236,10 +247,11 @@ class DeployedService:
                 plan_id=plan.plan_id,
                 bindings=dict(plan.bindings),
                 variables=dict(variables),
-                task_ids=[t.id for t in self.process.index.service_tasks],
-                start_node=self.process.start_event().id,
+                task_ids=self._task_ids,
+                start_node=self._start_node,
             )
             self.instances[instance_id] = inst
+            self._live[instance_id] = inst
             if run:
                 self.run_instance(instance_id)
             return instance_id
@@ -255,6 +267,7 @@ class DeployedService:
                 if inst.steps >= budget:
                     inst.outcome = Outcome.FAILED
                     inst.error = f"step budget of {budget} exhausted"
+                    del self._live[instance_id]
                     break
                 self.step(instance_id)
             return inst
@@ -293,6 +306,8 @@ class DeployedService:
                 inst.error = f"token reached unexpected node {node_id!r}"
 
             self._maybe_finalize(inst)
+            if inst.outcome is not Outcome.IN_PROGRESS:
+                del self._live[instance_id]
             return inst
 
     def _forward(self, inst: ProcessInstance, node_id: str) -> None:
@@ -451,22 +466,36 @@ class DeployedService:
                 )
 
             actions: list[dict] = []
-            targets = [(None, dict(self._plan.bindings), self._service_rules)]
-            targets += [(i, i.bindings, self._instance_rules) for i in self.live_instances()]
-            for inst, bindings, rules in targets:
+            for inst, bindings, rules in self._targets(n):
                 # no action that returns to this loop changes the instance's task status
                 position = inst.position() if inst else InstancePosition()
                 for rule in rules:
-                    binding = bindings.get(rule.subject_task_id)
-                    if binding is None:
-                        continue
-                    if evaluate(rule, n, position, binding):
+                    if evaluate(rule, n, position, bindings[rule.subject_task_id]):
                         level = inst.instance_id if inst else "service"
                         self._log(EventKind.RULE_MATCHED, {"rule": rule.rule_id, "level": level, "topic": n.topic})
                         actions.append(self._execute_action(rule, n, inst))
                         if rule.action.kind in (ActionKind.STOP, ActionKind.RECOMPOSE):
                             return actions
             return actions
+
+    def _targets(self, n: Notification):
+        """The active plan with its service rules, then each live instance
+        with its instance rules, each time keeping only the rules that can
+        match n: evaluate() rejects a rule of another event type or whose
+        subject task is bound to another component. Lazy, so a stop or
+        recompose taken on the plan's rules visits no instance."""
+        subject = n.subject_component_id
+        plan = dict(self._plan.bindings)
+        yield None, plan, [
+            r for r in self._service_rules if r.event_type is n.type and plan.get(r.subject_task_id) == subject
+        ]
+        rules = [r for r in self._instance_rules if r.event_type is n.type]
+        if not rules:
+            return
+        for inst in self.live_instances():
+            hit = [r for r in rules if inst.bindings.get(r.subject_task_id) == subject]
+            if hit:
+                yield inst, inst.bindings, hit
 
     def _execute_action(
         self, rule: AdaptationRule, n: Notification, inst: ProcessInstance | None
@@ -500,6 +529,7 @@ class DeployedService:
             inst.outcome = Outcome.STOPPED_BY_RULE
             inst._tokens.clear()
             stopped.append(inst.instance_id)
+        self._live.clear()
         self.status = ServiceStatus.STOPPED
         if log_event:
             self._log(
@@ -520,11 +550,13 @@ class DeployedService:
             levels = self.threat_state.snapshot()
             self._prune_flags(levels, keep=flagged_component_id)
 
-            old_plan_id = self.active_plan_id
+            old_plan = self._plan
             plan = select_plan(self._candidates, levels, self._flagged.keys())
             if plan is not None:
                 self._plan = plan
-                adopted = self._adopt_bindings(plan)
+                old = dict(old_plan.bindings)
+                changed = [(t, c) for t, c in plan.bindings if old.get(t) != c]
+                adopted = self._adopt_bindings(plan.plan_id, changed)
                 self._log(
                     EventKind.ACTION_TAKEN,
                     {
@@ -536,7 +568,7 @@ class DeployedService:
                 self._log(
                     EventKind.PLAN_SWITCHED,
                     {
-                        "from": old_plan_id,
+                        "from": old_plan.plan_id,
                         "to": plan.plan_id,
                         "flagged": flagged_component_id,
                         "rebound": ",".join(adopted),
@@ -580,16 +612,20 @@ class DeployedService:
             if not escalated:
                 del self._flagged[comp_id]
 
-    def _adopt_bindings(self, plan: CompositionPlan) -> list[str]:
-        """notStarted tasks of live instances take the new plan's bindings;
-        active/completed tasks keep their component and results."""
+    def _adopt_bindings(self, plan_id: str, changed: list[tuple[str, str]]) -> list[str]:
+        """notStarted tasks of live instances take the new component of each
+        changed (task, component) pair, in plan task order; active/completed
+        tasks keep their component and results. A notStarted task already
+        holds the old active plan's component, so unchanged tasks need no
+        write."""
+        not_started = TaskStatus.NOT_STARTED
+        rebinds = [(task_id, comp_id, f":{task_id}:{comp_id}") for task_id, comp_id in changed]
         adopted = []
-        for inst in self.live_instances():
-            inst.plan_id = plan.plan_id
-            for task_id, comp_id in plan.bindings:
-                if inst.task_status.get(task_id) is TaskStatus.NOT_STARTED:
-                    if inst.bindings.get(task_id) != comp_id:
-                        adopted.append(f"{inst.instance_id}:{task_id}:{comp_id}")
+        for inst in self._live.values():
+            inst.plan_id = plan_id
+            for task_id, comp_id, suffix in rebinds:
+                if inst.task_status[task_id] is not_started:
+                    adopted.append(inst.instance_id + suffix)
                     inst.bindings[task_id] = comp_id
         return adopted
 

@@ -1,11 +1,12 @@
 """Property-based checks for the invariants that hold over whole input spaces."""
 
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threatflow import bpmn
+from threatflow import bpmn, runtime
 from threatflow.bus import (
     Broker,
     EventType,
@@ -13,6 +14,7 @@ from threatflow.bus import (
     Payload,
     Subscription,
     SubscriptionHandle,
+    topic_for,
     topic_matches,
 )
 from threatflow.composition import (
@@ -25,9 +27,21 @@ from threatflow.composition import (
     select_plan,
     verify_plan,
 )
-from threatflow.rules import Action, ActionKind, AdaptationRule, Comparator, Predicate
+from threatflow.errors import ComponentFault, DeploymentError, ValidationError
+from threatflow.rules import (
+    Action,
+    ActionKind,
+    AdaptationRule,
+    Comparator,
+    InstancePosition,
+    Predicate,
+    Scope,
+    ScopeKind,
+    TaskStatus,
+)
+from threatflow.runtime import EventKind, Outcome, ServiceStatus
 
-from _generators import random_process
+from _generators import random_process, random_registry
 
 SUBJECTS = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12
@@ -237,3 +251,209 @@ def test_select_plan_matches_first_passing_ranked_plan(case):
         assert (chosen.plan_id, chosen.bindings, chosen.rank_score) == (
             oracle.plan_id, oracle.bindings, oracle.rank_score,
         )
+
+
+class FullScanService(runtime.DeployedService):
+    """Reference for the alert path: live instances found by scanning every
+    instance, every instance rule evaluated against every live instance, and
+    a plan switch that rewrites every notStarted task from the new plan."""
+
+    def live_instances(self):
+        return [i for i in self.instances.values() if i.outcome is Outcome.IN_PROGRESS]
+
+    def on_notification(self, n):
+        with self._lock:
+            if self.status is not ServiceStatus.RUNNING:
+                return []
+            try:
+                n.validate()
+            except ValidationError as exc:
+                self._log(
+                    EventKind.NOTIFICATION_RECEIVED,
+                    {"topic": getattr(n, "topic", ""), "error": str(exc)},
+                )
+                return []
+            self._log(
+                EventKind.NOTIFICATION_RECEIVED,
+                {
+                    "type": n.type.value,
+                    "topic": n.topic,
+                    "subject": n.subject_component_id,
+                    "publisher": n.publisher_id,
+                    "publisherSeq": n.seq,
+                },
+            )
+            if n.type is EventType.THREAT_LEVEL_CHANGE:
+                self.threat_state.update(
+                    n.subject_component_id, n.threat_id, n.payload.probability, n.timestamp
+                )
+
+            actions = []
+            targets = [(None, dict(self._plan.bindings), self._service_rules)]
+            targets += [(i, i.bindings, self._instance_rules) for i in self.live_instances()]
+            for inst, bindings, rules in targets:
+                position = inst.position() if inst else InstancePosition()
+                for rule in rules:
+                    binding = bindings.get(rule.subject_task_id)
+                    if binding is None:
+                        continue
+                    if runtime.evaluate(rule, n, position, binding):
+                        level = inst.instance_id if inst else "service"
+                        self._log(EventKind.RULE_MATCHED, {"rule": rule.rule_id, "level": level, "topic": n.topic})
+                        actions.append(self._execute_action(rule, n, inst))
+                        if rule.action.kind in (ActionKind.STOP, ActionKind.RECOMPOSE):
+                            return actions
+            return actions
+
+    def _adopt_bindings(self, plan_id, changed):
+        adopted = []
+        for inst in self.live_instances():
+            inst.plan_id = plan_id
+            for task_id, comp_id in self._plan.bindings:
+                if inst.task_status.get(task_id) is TaskStatus.NOT_STARTED:
+                    if inst.bindings.get(task_id) != comp_id:
+                        adopted.append(f"{inst.instance_id}:{task_id}:{comp_id}")
+                    inst.bindings[task_id] = comp_id
+        return adopted
+
+
+class CaseInvoker(runtime.ComponentInvoker):
+    def __init__(self, delays, faults):
+        self.delays, self.faults = delays, faults
+
+    def invoke(self, component_id, operation_ref, inputs):
+        if component_id in self.faults:
+            raise ComponentFault(self.faults[component_id])
+        return component_id
+
+    def delay_steps(self, component_id, operation_ref):
+        return self.delays.get(component_id, 0)
+
+
+ALERT_THREATS = ("T1", "T2")
+RULE_EVENT_TYPES = (EventType.THREAT_LEVEL_CHANGE, EventType.TRUSTWORTHINESS_CHANGE)
+
+
+@st.composite
+def alert_cases(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    pm = random_process(rng, max_tasks=4, threat_pool=ALERT_THREATS)
+    reg = random_registry(rng, pm)
+    task_ids = [t.id for t in pm.service_tasks()]
+    components = sorted({c.id for t in task_ids for c in reg.candidates(t)})
+    rules = []
+    for k in range(draw(st.integers(1, 6))):
+        event_type = draw(st.sampled_from(RULE_EVENT_TYPES))
+        action = draw(st.sampled_from(list(ActionKind)))
+        params = ()
+        if action is ActionKind.LAUNCH_PROCESS:
+            params = (("processRef", draw(st.sampled_from(["aux", "self", "unknown"]))),)
+        elif action is ActionKind.NOTIFY:
+            params = (("message", f"m{k}"),)
+        scope = draw(st.sampled_from(list(ScopeKind)))
+        rules.append(AdaptationRule(
+            rule_id=f"r{k}",
+            event_type=event_type,
+            subject_task_id=draw(st.sampled_from(task_ids)),
+            action=Action(kind=action, params=params),
+            scope=Scope(scope, None if scope is ScopeKind.WHOLE_PROCESS else draw(st.sampled_from(task_ids))),
+            threat_id=draw(st.sampled_from(ALERT_THREATS)) if event_type is EventType.THREAT_LEVEL_CHANGE else None,
+            predicate=draw(st.none() | st.builds(
+                Predicate, st.sampled_from(list(Comparator)), st.sampled_from([0.2, 0.5, 0.8]))),
+        ))
+    delays = draw(st.dictionaries(st.sampled_from(components), st.integers(1, 3), max_size=3))
+    faults = draw(st.dictionaries(st.sampled_from(components), st.sampled_from([*ALERT_THREATS, "T-OTHER"]),
+                                  max_size=1))
+    start = st.tuples(st.just("start"), st.booleans())
+    alert = st.tuples(st.just("alert"), st.sampled_from(RULE_EVENT_TYPES), st.integers(0, len(components)),
+                      st.sampled_from(ALERT_THREATS), st.sampled_from([0.1, 0.5, 0.9]))
+    # a few instances are live from the start; starts and alerts weigh
+    # double; a stop op stops the service one time in five
+    ops = [("start", False)] * draw(st.integers(1, 3)) + draw(st.lists(
+        start | alert | start | alert
+        | st.tuples(st.just("step"), st.integers(0, 9), st.integers(1, 4))
+        | st.tuples(st.just("recompose"), st.sampled_from(components))
+        | st.tuples(st.just("stop"), st.integers(0, 4)),
+        min_size=4,
+        max_size=30,
+    ))
+    return pm, reg, rules, components, delays, faults, ops
+
+
+def _alert_service(cls, pm, reg, rules, delays, faults):
+    criteria = RankingCriteria(0.6, 0.3, 0.1)
+    aux = runtime.deploy(pm, reg, [], criteria, Broker(), CaseInvoker(delays, faults), service_id="aux")
+    svc = cls(service_id="svc", process=pm, registry=reg, rules=rules, criteria=criteria, broker=Broker(),
+              invoker=CaseInvoker(delays, faults), subscriptions=[], clock=iter(range(1, 10**6)).__next__,
+              aux={"aux": aux})
+    svc.aux["self"] = svc
+    return svc
+
+
+def _apply(svc, op, seq, components):
+    kind = op[0]
+    try:
+        if kind == "start":
+            return svc.start_instance({}, run=op[1])
+        if kind == "step":
+            live = svc.live_instances()
+            if live:
+                inst = live[op[1] % len(live)]
+                for _ in range(op[2]):
+                    if inst.outcome is Outcome.IN_PROGRESS:
+                        svc.step(inst.instance_id)
+            return None
+        if kind == "alert":
+            event_type, subject = op[1], [*components, "elsewhere"][op[2]]
+            tlc = event_type is EventType.THREAT_LEVEL_CHANGE
+            return svc.on_notification(Notification(
+                type=event_type, topic=topic_for(event_type, subject), subject_component_id=subject,
+                payload=Payload(probability=op[4]), timestamp=float(seq), seq=seq, publisher_id="monitor",
+                threat_id=op[3] if tlc else None,
+            ))
+        if kind == "recompose":
+            return svc.act_recompose(op[1])
+        if op[1] == 0:
+            svc.act_stop()
+        return None
+    except DeploymentError as exc:
+        return str(exc)
+
+
+def _state(svc):
+    return (
+        svc.status,
+        svc.active_plan_id,
+        [i.instance_id for i in svc.live_instances()],
+        {iid: (i.outcome, i.plan_id, dict(i.bindings), dict(i.task_status)) for iid, i in svc.instances.items()},
+        [(e.seq, e.kind, e.detail) for e in svc.merged_log()],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=alert_cases())
+def test_alert_path_matches_the_full_scan_reference(case):
+    """Same actions, events, bindings and live set as the full scan; the
+    service evaluates a rule only where its event type and its subject
+    task's binding match the alert, in the reference's order."""
+    pm, reg, rules, components, delays, faults, ops = case
+    fast = _alert_service(runtime.DeployedService, pm, reg, rules, delays, faults)
+    full = _alert_service(FullScanService, pm, reg, rules, delays, faults)
+    evaluate = runtime.evaluate
+    calls = []
+
+    def recording(rule, n, position, binding):
+        could_match = rule.event_type is n.type and binding == n.subject_component_id
+        calls.append((rule.rule_id, binding, position, could_match))
+        return evaluate(rule, n, position, binding)
+
+    with mock.patch.object(runtime, "evaluate", recording):
+        for seq, op in enumerate(ops, start=1):
+            calls.clear()
+            got = _apply(fast, op, seq, components)
+            fast_calls = list(calls)
+            calls.clear()
+            want = _apply(full, op, seq, components)
+            assert got == want, op
+            assert _state(fast) == _state(full), op
+            assert fast_calls == [c for c in calls if c[3]], op

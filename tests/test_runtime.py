@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from threatflow import bpmn, runtime
@@ -564,3 +566,84 @@ def test_plan_space_beyond_the_listing_ceiling_deploys_and_recomposes():
     inst = svc.instances[svc.start_instance({"seed": "x"})]
     assert inst.outcome is Outcome.COMPLETED
     assert inst.bindings["t9"] == "t9-c2"
+
+
+def test_finished_instances_leave_the_live_index_and_cost_an_alert_nothing(monkeypatch):
+    scoped = tlc_rule(scope=Scope(kind=ScopeKind.BEFORE_TASK, ref_task_id="t2"),
+                      action=ActionKind.NOTIFY)
+    invoker = ScriptedInvoker()
+    svc = make_service(pm=linear_model(wired=False), counts={"t1": 2}, rules=[scoped], invoker=invoker)
+
+    completed = svc.start_instance({})
+    invoker.faults["t1-c1"] = "T-OTHER"
+    faulted = svc.start_instance({})
+    invoker.faults.clear()
+    invoker.delays["t1-c1"] = 1000
+    exhausted = svc.start_instance({}, run=False)
+    svc.step(exhausted)
+    svc.step(exhausted)  # t1 active for 1000 steps, more than the budget run_instance grants now
+    invoker.delays.clear()
+    svc.run_instance(exhausted)
+    assert svc.instances[completed].outcome is Outcome.COMPLETED
+    assert "unhandled error 'T-OTHER'" in svc.instances[faulted].error
+    assert "step budget" in svc.instances[exhausted].error
+    finished = [completed, faulted, exhausted] + [svc.start_instance({}) for _ in range(20)]
+
+    invoker.delays["t1-c1"] = 50
+    held = svc.start_instance({}, run=False)
+    svc.step(held)
+    svc.step(held)  # t1 active on t1-c1, so the switch below leaves it bound there
+    svc.act_recompose("t1-c1")
+    fresh = svc.start_instance({}, run=False)
+    assert svc.instances[fresh].bindings["t1"] == "t1-c2"
+    assert [i.instance_id for i in svc.live_instances()] == [held, fresh]
+    assert all(iid in svc.instances for iid in finished)
+
+    calls = []
+    position = runtime.ProcessInstance.position
+    monkeypatch.setattr(runtime.ProcessInstance, "position",
+                        lambda inst: calls.append(inst.instance_id) or position(inst))
+    actions = svc.on_notification(threat_notification("t1-c1", 0.9))
+    assert [(a["rule"], a["action"]) for a in actions] == [("r1", "notify")]
+    assert calls == [held]  # neither finished instances nor one bound elsewhere
+
+    svc.act_stop()
+    assert svc.live_instances() == []
+    for iid in (held, fresh):
+        assert svc.instances[iid].outcome is Outcome.STOPPED_BY_RULE
+
+
+def test_plan_switch_rebinds_changed_not_started_tasks_in_instance_then_task_order():
+    pm = linear_model(n_tasks=3, wired=False)
+    # t2 and t3 share an operation, so one component can serve both
+    pm = replace(pm, nodes=tuple(replace(n, operation_ref="op") if n.id in ("t2", "t3") else n
+                                 for n in pm.nodes))
+
+    def component(cid, op, trust):
+        return ComponentDescriptor(id=cid, provider="prov", operation_ref=op,
+                                   trustworthiness=trust, latency_score=0.5, cost=1.0)
+
+    shared = component("shared", "op", 0.9)
+    reg = CandidateRegistry(entries=(
+        ("t1", (component("t1-c1", "op1", 0.9),)),
+        ("t2", (shared, component("t2-alt", "op", 0.5))),
+        ("t3", (shared, component("t3-alt", "op", 0.5))),
+    ))
+    invoker = ScriptedInvoker(delays={"shared": 50})
+    svc = deploy(pm, reg, rules=[], criteria=CRITERIA, broker=Broker(), invoker=invoker,
+                 service_id="svc", clock=iter(range(1, 1000)).__next__)
+    assert svc.active_plan_id == "t1-c1+shared+shared"
+    past_t1 = svc.start_instance({}, run=False)
+    for _ in range(3):  # start, t1 done, t2 active on the shared component
+        svc.step(past_t1)
+    invoker.delays = {"t1-c1": 50}
+    at_t1 = svc.start_instance({}, run=False)
+    for _ in range(2):  # start, t1 active
+        svc.step(at_t1)
+
+    assert svc.act_recompose("shared").new_plan_id == "t1-c1+t2-alt+t3-alt"
+    switch = next(e for e in svc.event_log if e.kind is EventKind.PLAN_SWITCHED)
+    assert switch.detail["rebound"] == f"{past_t1}:t3:t3-alt,{at_t1}:t2:t2-alt,{at_t1}:t3:t3-alt"
+    assert svc.instances[past_t1].bindings == {"t1": "t1-c1", "t2": "shared", "t3": "t3-alt"}
+    assert svc.instances[at_t1].bindings == {"t1": "t1-c1", "t2": "t2-alt", "t3": "t3-alt"}
+    assert {svc.instances[i].plan_id for i in (past_t1, at_t1)} == {"t1-c1+t2-alt+t3-alt"}
