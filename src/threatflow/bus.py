@@ -2,9 +2,9 @@
 
 The broker delivers notifications at most once per live subscriber, keeps
 per-publisher FIFO order, and never blocks a publisher on a slow consumer:
-each subscriber owns a bounded queue whose overflow drops the oldest entry
-and bumps a drop counter (best-effort delivery, no retransmission). Its
-subscriptions are indexed by pattern, so a publish costs O(matches).
+each subscriber id owns a bounded queue, or shares its TCP connection's;
+overflow drops and counts the oldest entry (best-effort, no retransmission).
+Subscriptions are indexed by pattern, so a publish costs O(matches).
 
 At most once means per (publisher, seq): the broker drops a notification at
 or below the highest seq it accepted from that publisher id, so a publisher
@@ -12,7 +12,8 @@ id that restarts its seq on a live broker is dropped until it passes it.
 
 The same broker core runs in-process or behind a TCP server speaking
 newline-delimited UTF-8 JSON records with op in {SUB, UNSUB, PUB, MSG,
-ACKCOUNT}.
+ACKCOUNT}. A connection costs one reader thread and, once it SUBs, one
+writer, however many ids it holds; the newest SUB of an id takes it over.
 """
 
 from __future__ import annotations
@@ -194,6 +195,7 @@ class _SubscriberQueue:
         self.capacity = capacity
         self._items: deque[Notification] = deque()
         self._cond = threading.Condition()
+        self._closed = False
         self.drops = 0
 
     def offer(self, n: Notification) -> None:
@@ -205,12 +207,19 @@ class _SubscriberQueue:
             self._cond.notify()
 
     def poll(self, timeout: float | None = 0.0) -> Notification | None:
+        """Oldest item; waits up to `timeout` s, or for an item or close() if None."""
         with self._cond:
-            if not self._items and timeout:
-                self._cond.wait(timeout)
+            if not self._items and timeout != 0:
+                self._cond.wait_for(lambda: self._items or self._closed, timeout)
             if self._items:
                 return self._items.popleft()
             return None
+
+    def close(self) -> None:
+        """Wake every poll(None); what is queued stays drainable."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
     def __len__(self) -> int:
         with self._cond:
@@ -235,16 +244,19 @@ class Broker:
         self._subscribers: dict[str, set[str]] = {}  # topic pattern -> subscriber ids
         self._queues: dict[str, _SubscriberQueue] = {}
         self._last_seq: dict[str, int] = {}  # publisher id -> highest seq accepted
-        self._queue_capacity = queue_capacity
+        self.queue_capacity = queue_capacity
 
-    def subscribe(self, sub: Subscription) -> SubscriptionHandle:
+    def subscribe(self, sub: Subscription, queue: _SubscriberQueue | None = None) -> SubscriptionHandle:
+        """A given `queue` becomes the id's queue, taking the id over from any other."""
         validate_pattern(sub.topic_pattern)
         if not sub.subscriber_id:
             raise ValidationError("empty subscriberId")
         with self._lock:
             self._subscribers.setdefault(sub.topic_pattern, set()).add(sub.subscriber_id)  # idempotent
-            if sub.subscriber_id not in self._queues:
-                self._queues[sub.subscriber_id] = _SubscriberQueue(self._queue_capacity)
+            if queue is not None:
+                self._queues[sub.subscriber_id] = queue
+            elif sub.subscriber_id not in self._queues:
+                self._queues[sub.subscriber_id] = _SubscriberQueue(self.queue_capacity)
         return SubscriptionHandle(sub.subscriber_id, sub.topic_pattern, self)
 
     def unsubscribe(self, handle: SubscriptionHandle) -> None:
@@ -260,6 +272,16 @@ class Broker:
             if not sids:
                 del self._subscribers[handle.topic_pattern]
             # the queue stays drainable: in-flight items may still be consumed
+
+    def release(self, subscriber_id: str, queue: _SubscriberQueue) -> None:
+        """Drop the id's patterns and queue entry if `queue` still serves it."""
+        with self._lock:
+            if self._queues.get(subscriber_id) is queue:
+                del self._queues[subscriber_id]
+                for pattern, sids in list(self._subscribers.items()):  # scans every pattern
+                    sids.discard(subscriber_id)
+                    if not sids:
+                        del self._subscribers[pattern]
 
     def publish(self, n: Notification) -> int:
         """Deliveries made: 0 for a seq at or below its publisher's last one."""
@@ -352,8 +374,11 @@ def decode_record(line: str) -> dict:
 
 
 class BusServer:
-    """TCP front-end over a Broker; one reader thread per connection plus one
-    pump per subscriber id draining its queue onto the connection."""
+    """TCP front-end over a Broker. Each connection has a reader thread and,
+    from its first SUB, a writer draining the connection's outbox as MSG
+    records. The outbox is the queue of every id SUBbed there, so they share
+    its drop-oldest bound. A disconnect or `stop()` releases the connection's
+    ids, except those a newer SUB on another connection took over."""
 
     def __init__(self, broker: Broker | None = None, host: str = "127.0.0.1", port: int = 0):
         self.broker = broker or Broker()
@@ -362,6 +387,8 @@ class BusServer:
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
+        self._conns_lock = threading.Lock()
+        self._conns: set[socket.socket] = set()
 
     @property
     def port(self) -> int:
@@ -383,10 +410,11 @@ class BusServer:
         if self._sock is not None:
             with contextlib.suppress(OSError):
                 self._sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            self._sock.close()
+        with self._conns_lock:
+            for conn in self._conns:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)  # ends its reader, which tears the connection down
 
     def _accept_loop(self) -> None:
         assert self._sock is not None
@@ -395,56 +423,65 @@ class BusServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
+            with self._conns_lock:
+                if self._stopping.is_set():  # stop() has already shut the open ones
+                    conn.close()
+                    return
+                self._conns.add(conn)
             threading.Thread(target=self._serve_connection, args=(conn,), daemon=True).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         write_lock = threading.Lock()
-        handles: list[SubscriptionHandle] = []
-        pumps: set[str] = set()
-        conn_open = threading.Event()
-        conn_open.set()
+        outbox = _SubscriberQueue(self.broker.queue_capacity)
+        held: set[str] = set()  # subscriber ids SUBbed on this connection
+        writer: threading.Thread | None = None
 
         def send(rec: dict) -> None:
             data = (encode_record(rec) + "\n").encode("utf-8")
             with write_lock:
                 conn.sendall(data)
 
+        def write_loop() -> None:
+            with contextlib.suppress(OSError):  # the connection is gone
+                while (n := outbox.poll(None)) is not None:
+                    rec = n.to_record()
+                    rec["op"] = "MSG"
+                    send(rec)
+
         try:
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = decode_record(line)
-                    self._handle_record(rec, send, handles, pumps, conn_open)
-                except (BusError, ValidationError) as exc:
+            with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+                for line in reader:
+                    line = line.strip()
+                    if not line:
+                        continue
                     try:
+                        rec = decode_record(line)
+                        self._handle_record(rec, send, outbox, held)
+                    except (BusError, ValidationError) as exc:
                         send({"op": "ACKCOUNT", "count": -1, "error": str(exc)})
-                    except OSError:
-                        return
+                    if held and writer is None:  # a publish-only connection keeps one thread
+                        writer = threading.Thread(target=write_loop, daemon=True)
+                        writer.start()
         except OSError:
             pass
         finally:
-            conn_open.clear()
-            for h in handles:
-                self.broker.unsubscribe(h)
-            try:
-                conn.close()
-            except OSError:
-                pass
+            for sid in held:
+                self.broker.release(sid, outbox)
+            outbox.close()
+            with self._conns_lock:
+                self._conns.discard(conn)
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)  # fails a send the writer is blocked in
+            if writer is not None:
+                writer.join()
+            conn.close()
 
-    def _handle_record(self, rec, send, handles, pumps, conn_open) -> None:
+    def _handle_record(self, rec, send, outbox, held) -> None:
         op = rec["op"]
         if op == "SUB":
             sub = Subscription(rec.get("subscriberId", ""), rec.get("topicPattern", ""))
-            handle = self.broker.subscribe(sub)
-            handles.append(handle)
-            if sub.subscriber_id not in pumps:
-                pumps.add(sub.subscriber_id)
-                threading.Thread(
-                    target=self._pump_for, args=(sub.subscriber_id, send, conn_open), daemon=True
-                ).start()
+            self.broker.subscribe(sub, outbox)
+            held.add(sub.subscriber_id)
         elif op == "UNSUB":
             handle = SubscriptionHandle(
                 rec.get("subscriberId", ""), rec.get("topicPattern", ""), self.broker
@@ -456,18 +493,6 @@ class BusServer:
             send({"op": "ACKCOUNT", "count": count})
         else:
             raise BusError(f"unknown op {op!r}")
-
-    def _pump_for(self, subscriber_id: str, send, conn_open) -> None:
-        while conn_open.is_set() and not self._stopping.is_set():
-            n = self.broker.poll(subscriber_id, timeout=0.05)
-            if n is None:
-                continue
-            rec = n.to_record()
-            rec["op"] = "MSG"
-            try:
-                send(rec)
-            except OSError:
-                return
 
 
 class BusClient:

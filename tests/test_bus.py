@@ -1,5 +1,7 @@
 import json
+import logging
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -336,3 +338,174 @@ def test_close_and_stop_end_the_bus_threads():
     server.stop()
     server._accept_thread.join(timeout=2)
     assert not server._accept_thread.is_alive()
+
+
+def wait_until(condition, what, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+def threads_since(before, *clients):
+    """Threads started after the `before` snapshot, less the clients' readers."""
+    readers = {c._reader_thread for c in clients}
+    return [t for t in threading.enumerate() if t not in before and t not in readers]
+
+
+def join_all(threads):
+    for t in threads:
+        t.join(timeout=2)
+    assert [t for t in threads if t.is_alive()] == []
+
+
+def test_poll_none_waits_for_an_item_or_close():
+    queue = bus._SubscriberQueue(4)
+    for later, expected in ((lambda: queue.offer(notification()), notification()), (queue.close, None)):
+        t = threading.Thread(target=lambda: (time.sleep(0.05), later()))
+        t.start()
+        assert queue.poll(None) == expected
+        join_all([t])
+    assert queue.poll() is None
+
+
+def test_idle_connection_with_200_ids_runs_three_server_threads():
+    before = set(threading.enumerate())
+    server = BusServer().start()
+    client = BusClient("127.0.0.1", server.port)
+    pub = None
+    try:
+        for i in range(200):
+            client.subscribe(f"sre-{i}", "threat-level-change.*")
+        wait_until(lambda: server.broker.has_subscription("sre-199", "threat-level-change.*"),
+                   "the last SUB was never applied")
+        assert len(threads_since(before, client)) == 3  # accept, reader, writer
+        pub = BusClient("127.0.0.1", server.port)
+        assert pub.publish(notification()) == 200
+        got = [client.receive(timeout=2.0) for _ in range(200)]
+        assert got == [notification()] * 200
+    finally:
+        for c in (client, pub):
+            if c is not None:
+                c.close()
+        server.stop()
+
+
+def test_stop_ends_every_connection_thread_with_clients_still_open():
+    before = set(threading.enumerate())
+    server = BusServer().start()
+    clients = [BusClient("127.0.0.1", server.port) for _ in range(3)]
+    try:
+        for i, client in enumerate(clients):
+            client.subscribe(f"sre-{i}", "threat-level-change.*")
+        wait_until(lambda: server.broker.has_subscription("sre-1", "threat-level-change.*")
+                   and server.broker.has_subscription("sre-2", "threat-level-change.*"),
+                   "a SUB was never applied")
+        assert clients[0].publish(notification()) == 3
+        for client in clients:
+            assert client.receive(timeout=2.0) == notification()
+        server_threads = threads_since(before, *clients)
+        assert len(server_threads) == 7  # accept, then a reader and a writer per connection
+        server.stop()
+        join_all(server_threads)
+        assert server.broker.publish(notification(seq=2)) == 0  # every id was released
+    finally:
+        for client in clients:
+            client.close()
+        server.stop()
+
+
+def test_tcp_unsub_or_repeated_sub_then_disconnect_logs_no_warning(caplog):
+    server = BusServer().start()
+    try:
+        before = set(threading.enumerate())
+        client = BusClient("127.0.0.1", server.port)
+        client.subscribe("sre-1", "threat-level-change.*")
+        client.subscribe("sre-1", "threat-level-change.*")
+        client.subscribe("sre-2", "threat-level-change.*")
+        client.unsubscribe("sre-2", "threat-level-change.*")
+        assert client.publish(notification()) == 1  # the reply follows every record before it
+        assert client.receive(timeout=2.0) == notification()
+        with caplog.at_level(logging.WARNING, logger="threatflow.bus"):
+            client.close()
+            join_all(threads_since(before))
+        assert caplog.records == []
+        assert server.broker.publish(notification(seq=2)) == 0
+    finally:
+        server.stop()
+
+
+def test_newer_connection_takes_a_subscriber_id_over():
+    server = BusServer().start()
+    old, new, pub = (BusClient("127.0.0.1", server.port) for _ in range(3))
+    try:
+        old.subscribe("sre-1", "threat-level-change.*")
+        wait_until(lambda: server.broker.has_subscription("sre-1", "threat-level-change.*"),
+                   "the older SUB was never applied")
+        new.subscribe("sre-1", "threat-level-change.mapA")
+        wait_until(lambda: server.broker.has_subscription("sre-1", "threat-level-change.mapA"),
+                   "the newer SUB was never applied")
+        for seq in range(1, 21):
+            assert pub.publish(notification(seq=seq)) == 1
+        assert [new.receive(timeout=2.0).seq for _ in range(20)] == list(range(1, 21))
+        assert old.receive(timeout=0.1) is None
+        old.close()
+        wait_until(lambda: len(server._conns) == 2, "the older connection was never torn down")
+        assert server.broker.has_subscription("sre-1", "threat-level-change.*")
+        assert server.broker.has_subscription("sre-1", "threat-level-change.mapA")
+        assert pub.publish(notification(seq=21)) == 1
+        assert new.receive(timeout=2.0).seq == 21
+    finally:
+        for client in (old, new, pub):
+            client.close()
+        server.stop()
+
+
+def test_tcp_churn_leaves_no_broker_entries():
+    server = BusServer().start()
+    try:
+        before = set(threading.enumerate())
+        for i in range(50):
+            client = BusClient("127.0.0.1", server.port)
+            client.subscribe(f"churn-{i}", "threat-level-change.*")
+            client.close()
+        join_all(threads_since(before))
+        assert [sid for sid in server.broker._queues if sid.startswith("churn-")] == []
+        assert server.broker.publish(notification()) == 0
+    finally:
+        server.stop()
+
+
+def test_concurrent_publishers_reach_a_shared_outbox_in_order():
+    server = BusServer().start()
+    sub = BusClient("127.0.0.1", server.port)
+    pubs = [BusClient("127.0.0.1", server.port) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for sid in ("sre-1", "sre-2"):
+            sub.subscribe(sid, "threat-level-change.*")
+        wait_until(lambda: server.broker.has_subscription("sre-2", "threat-level-change.*"),
+                   "the last SUB was never applied")
+
+        counts = []
+
+        def publish_all(client, publisher):
+            for seq in range(1, 51):
+                counts.append(client.publish(notification(seq=seq, publisher=publisher)))
+
+        workers = [threading.Thread(target=publish_all, args=(c, f"monitor-{i}")) for i, c in enumerate(pubs)]
+        for t in workers:
+            t.start()
+        join_all(workers)
+        assert counts == [2] * 200
+        got = [sub.receive(timeout=2.0) for _ in range(400)]
+        assert None not in got and sub.receive(timeout=0.05) is None
+        for i in range(4):
+            seqs = [n.seq for n in got if n.publisher_id == f"monitor-{i}"]
+            assert seqs == [seq for seq in range(1, 51) for _ in range(2)]  # one copy per id, FIFO
+    finally:
+        sys.setswitchinterval(interval)
+        for client in (sub, *pubs):
+            client.close()
+        server.stop()
