@@ -14,6 +14,7 @@ The same broker core runs in-process or behind a TCP server speaking
 newline-delimited UTF-8 JSON records with op in {SUB, UNSUB, PUB, MSG,
 ACKCOUNT}. A connection costs one reader thread and, once it SUBs, one
 writer, however many ids it holds; the newest SUB of an id takes it over.
+A malformed record gets an error ACKCOUNT and leaves the connection up.
 """
 
 from __future__ import annotations
@@ -130,12 +131,14 @@ class Notification:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Notification":
+        """Any record that is not a valid notification raises ValidationError,
+        whatever type a field has."""
         try:
             etype = EventType(rec["type"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"unknown notification type in record: {exc}")
-        payload = rec.get("payload") or {}
         try:
+            payload = rec.get("payload") or {}
             n = cls(
                 type=etype,
                 topic=rec["topic"],
@@ -149,9 +152,11 @@ class Notification:
                 publisher_id=rec["publisherId"],
                 threat_id=rec.get("threatId"),
             )
+            n.validate()
         except KeyError as exc:
             raise ValidationError(f"notification record missing field {exc}")
-        n.validate()
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"malformed notification record: {exc}")
         return n
 
 
@@ -189,40 +194,51 @@ def topic_matches(pattern: str, topic: str) -> bool:
 
 
 class _SubscriberQueue:
-    """Bounded FIFO handoff between the broker and one subscriber."""
+    """Bounded FIFO handoff between the broker and one subscriber. An offer
+    wakes a poller only while one waits, so a publish to a queue nobody
+    blocks on costs one lock and one append."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._items: deque[Notification] = deque()
-        self._cond = threading.Condition()
+        # an RLock: a Condition over a plain Lock costs several times as much
+        # to build, and a broker builds one queue per subscriber id
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
+        self._waiting = 0  # pollers inside wait_for
         self._closed = False
         self.drops = 0
 
     def offer(self, n: Notification) -> None:
-        with self._cond:
+        with self._lock:
             if len(self._items) >= self.capacity:
                 self._items.popleft()
                 self.drops += 1
             self._items.append(n)
-            self._cond.notify()
+            if self._waiting:
+                self._cond.notify()
 
     def poll(self, timeout: float | None = 0.0) -> Notification | None:
         """Oldest item; waits up to `timeout` s, or for an item or close() if None."""
-        with self._cond:
+        with self._lock:
             if not self._items and timeout != 0:
-                self._cond.wait_for(lambda: self._items or self._closed, timeout)
+                self._waiting += 1
+                try:
+                    self._cond.wait_for(lambda: self._items or self._closed, timeout)
+                finally:
+                    self._waiting -= 1
             if self._items:
                 return self._items.popleft()
             return None
 
     def close(self) -> None:
         """Wake every poll(None); what is queued stays drainable."""
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._cond.notify_all()
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._items)
 
 
@@ -479,20 +495,25 @@ class BusServer:
     def _handle_record(self, rec, send, outbox, held) -> None:
         op = rec["op"]
         if op == "SUB":
-            sub = Subscription(rec.get("subscriberId", ""), rec.get("topicPattern", ""))
+            sub = Subscription(*_subscription_fields(rec))
             self.broker.subscribe(sub, outbox)
             held.add(sub.subscriber_id)
         elif op == "UNSUB":
-            handle = SubscriptionHandle(
-                rec.get("subscriberId", ""), rec.get("topicPattern", ""), self.broker
-            )
-            self.broker.unsubscribe(handle)
+            self.broker.unsubscribe(SubscriptionHandle(*_subscription_fields(rec), self.broker))
         elif op == "PUB":
             n = Notification.from_record(rec)
             count = self.broker.publish(n)
             send({"op": "ACKCOUNT", "count": count})
         else:
             raise BusError(f"unknown op {op!r}")
+
+
+def _subscription_fields(rec: dict) -> tuple[str, str]:
+    """A SUB or UNSUB record's (subscriberId, topicPattern), each a string."""
+    sid, pattern = rec.get("subscriberId", ""), rec.get("topicPattern", "")
+    if not isinstance(sid, str) or not isinstance(pattern, str):
+        raise ValidationError(f"{rec['op']} subscriberId and topicPattern must be strings")
+    return sid, pattern
 
 
 class BusClient:
@@ -529,6 +550,9 @@ class BusClient:
                 if not line:
                     continue
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    log.warning("dropping wire record that is not an object: %.80s", line)
+                    continue
                 with self._cond:
                     if rec.get("op") == "MSG":
                         try:
@@ -541,6 +565,7 @@ class BusClient:
         except (OSError, ValueError):
             pass
         finally:
+            self._reader.close()
             self._closed.set()
             with self._cond:
                 self._cond.notify_all()
@@ -579,9 +604,10 @@ class BusClient:
             return None
 
     def close(self) -> None:
+        """Shut the socket and wait for the reader thread, which closes its
+        file, the last reference holding the socket open."""
         with contextlib.suppress(OSError):
-            self._sock.shutdown(socket.SHUT_RDWR)  # ends the reader, whose file keeps the socket open
-        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # ends the reader
+        with contextlib.suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
+        self._reader_thread.join(self._timeout)

@@ -8,6 +8,13 @@ against adaptation rules plus the latest threat state. Both split per
 recomposition; generate_plans enumerates the Cartesian product of candidate
 lists (up to PLAN_CEILING) only to list and rank every plan. All functions
 here are pure; ThreatState is the one mutable type and hands out snapshots.
+
+Per binding, select_plan checks a candidate against the (threat id,
+predicate) pairs that candidate_table precomputes for its task, a few dict
+lookups that decide what verify_plan decides for a one-task binding; it
+builds no plan or verdict. Mirror candidates, those of one task with
+bit-identical (trust, latency, cost), collapse to the one the planId
+tie-break prefers, so ties among them cost no enumeration.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import (
     PlanCountExceededError,
     ValidationError,
 )
-from .rules import AdaptationRule
+from .rules import AdaptationRule, Predicate
 
 PLAN_CEILING = 10_000
 _RESERVED_IN_IDS = re.compile(r"[+.*\s]")  # '+' joins plan ids; '.' and '*' are topic syntax
@@ -243,8 +250,9 @@ class CandidateTable:
     criteria: RankingCriteria
     max_mean_cost: float
     # per service task in document order: the task, its candidates with their
-    # one-task scores (best first), and the rules whose subject it is
-    rows: tuple[tuple[bpmn.ServiceTask, list[tuple[float, ComponentDescriptor]], list[AdaptationRule]], ...]
+    # one-task scores (best first), and the (threat id, predicate) pairs of the
+    # ThreatLevelChange rules whose subject it is
+    rows: tuple[tuple[bpmn.ServiceTask, list[tuple[float, ComponentDescriptor]], tuple[tuple[str, Predicate], ...]], ...]
 
 
 def candidate_table(
@@ -254,14 +262,24 @@ def candidate_table(
     rules: list[AdaptationRule],
 ) -> CandidateTable:
     """reg must pass validate_against(pm). The mean of per-task maximum costs
-    equals rank_plans' maximum mean cost exactly: float addition is monotone."""
+    equals rank_plans' maximum mean cost exactly: float addition is monotone.
+    A row keeps only the rules verify_plan can fail on: ThreatLevelChange
+    rules with both a predicate and a threat id."""
     tasks = pm.index.service_tasks
     max_mean_cost = _mean([max(c.cost for c in reg.candidates(t.id)) for t in tasks])
     rows = []
     for task in tasks:
         scored = [(_score([c], criteria, max_mean_cost), c) for c in reg.candidates(task.id)]
         scored.sort(key=lambda sc: sc[0], reverse=True)
-        rows.append((task, scored, [r for r in rules if r.subject_task_id == task.id]))
+        checks = tuple(
+            (r.threat_id, r.predicate)
+            for r in rules
+            if r.subject_task_id == task.id
+            and r.event_type is EventType.THREAT_LEVEL_CHANGE
+            and r.predicate is not None
+            and r.threat_id is not None
+        )
+        rows.append((task, scored, checks))
     return CandidateTable(pm, criteria, max_mean_cost, tuple(rows))
 
 
@@ -275,32 +293,57 @@ def select_plan(
 
     A plan's score is the mean of its components' one-task scores and
     verify_plan fails on single bindings, so each task keeps its best allowed
-    candidates on its own. Those within 1e-9 of a task's best are kept too,
-    and their product is scored with the full formula, so float rounding and
-    planId tie-breaks match rank_plans.
+    candidates on its own; a candidate is allowed unless excluded or a
+    (threat id, predicate) pair of its row is satisfied by its level. Those
+    within 1e-9 of a task's best are kept too, and their product is scored
+    with the full formula, so float rounding and planId tie-breaks match
+    rank_plans.
+
+    Before the product, a task's kept mirrors (bit-identical trust, latency
+    and cost) collapse to one: whichever is bound, every plan scores the
+    same, so only the planId tie-break tells them apart. Ids hold no '+', so
+    the strings id + '+' are prefix-free and the one that sorts first wins
+    whatever the other tasks bind; the last task in document order ends the
+    planId, so there the plain id decides. A product over n tasks of mirror
+    pairs is thus one plan, not 2**n.
     """
     best = []
-    for task, scored, task_rules in table.rows:
+    last = len(table.rows) - 1
+    for k, (_, scored, checks) in enumerate(table.rows):
         tied: list[ComponentDescriptor] = []
         for score, c in scored:
             if tied and score < top - 1e-9:
                 break
-            if c.id in excluded or task_rules and not verify_plan(
-                CompositionPlan(c.id, ((task.id, c.id),)), table.process, task_rules, levels
-            ).passed:
+            if c.id in excluded or checks and any(
+                (level := levels.get((c.id, threat_id))) is not None and pred.satisfied_by(level)
+                for threat_id, pred in checks
+            ):
                 continue
             if not tied:
                 top = score
             tied.append(c)
         if not tied:
             return None
-        best.append(tied)
+        best.append(_collapse_mirrors(tied, "" if k == last else "+") if len(tied) > 1 else tied)
     tasks = table.process.index.service_tasks
     plans = (
         _plan(tasks, combo, _score(combo, table.criteria, table.max_mean_cost))
         for combo in itertools.product(*best)
     )
     return min(plans, key=lambda p: (-p.rank_score, p.plan_id))
+
+
+def _collapse_mirrors(tied: list[ComponentDescriptor], sep: str) -> list[ComponentDescriptor]:
+    """One candidate per (trust, latency, cost) profile, the one whose
+    id + sep sorts first. Floats that compare equal differ at most in the
+    sign of a zero, which no mean sees: each sum starts at +0."""
+    keep: dict[tuple[float, float, float], ComponentDescriptor] = {}
+    for c in tied:
+        profile = (c.trustworthiness, c.latency_score, c.cost)
+        kept = keep.get(profile)
+        if kept is None or c.id + sep < kept.id + sep:
+            keep[profile] = c
+    return list(keep.values())
 
 
 def verify_plan(

@@ -509,3 +509,108 @@ def test_concurrent_publishers_reach_a_shared_outbox_in_order():
         for client in (sub, *pubs):
             client.close()
         server.stop()
+
+
+def test_poll_wakes_on_an_offer_made_while_it_waits():
+    queue = bus._SubscriberQueue(4)
+    got = []
+    t = threading.Thread(target=lambda: got.append(queue.poll(timeout=5)))
+    started = time.monotonic()
+    t.start()
+    wait_until(lambda: queue._waiting == 1, "the poller never began waiting")
+    queue.offer(notification())
+    join_all([t])
+    assert got == [notification()]
+    assert time.monotonic() - started < 2.0  # woken by the offer, not by the 5 s timeout
+    assert queue._waiting == 0
+
+
+def test_offer_to_a_full_queue_with_a_waiting_poller_drops_the_oldest():
+    queue = bus._SubscriberQueue(2)
+    got = []
+    t = threading.Thread(target=lambda: got.append(queue.poll(timeout=5)))
+    t.start()
+    wait_until(lambda: queue._waiting == 1, "the poller never began waiting")
+    with queue._lock:  # the woken poller cannot take an item until all three are offered
+        for seq in (1, 2, 3):
+            queue.offer(notification(seq=seq))
+        assert queue._waiting == 1
+        assert queue.drops == 1 and len(queue) == 2
+    join_all([t])
+    assert [n.seq for n in got] == [2]
+    assert queue.poll().seq == 3 and queue.poll() is None
+    assert queue.drops == 1
+
+
+def _malformed(field, value):
+    rec = notification(seq=1).to_record()
+    rec["op"] = "PUB"
+    if field == "probability":
+        rec["payload"]["probability"] = value
+    else:
+        rec[field] = value
+    return rec
+
+
+@pytest.mark.parametrize("bad", [
+    _malformed("seq", "x"),
+    _malformed("payload", "x"),
+    _malformed("probability", "hi"),
+    _malformed("subjectComponentId", 7),
+    {"op": "SUB", "subscriberId": "sre-2", "topicPattern": 7},
+], ids=["seq", "payload", "probability", "subject", "topic-pattern"])
+def test_malformed_record_gets_an_error_reply_and_keeps_the_connection(bad, monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    server = BusServer().start()
+    raw = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    lines = raw.makefile("r", encoding="utf-8", newline="\n")
+    before = set(threading.enumerate())
+    try:
+        raw.sendall(b'{"op":"SUB","subscriberId":"sre-1","topicPattern":"threat-level-change.*"}\n')
+        wait_until(lambda: server.broker.has_subscription("sre-1", "threat-level-change.*"),
+                   "the SUB was never applied")
+        raw.sendall((json.dumps(bad) + "\n").encode())
+        reply = json.loads(lines.readline())
+        assert (reply["op"], reply["count"]) == ("ACKCOUNT", -1) and reply["error"]
+        good = notification(seq=2).to_record()
+        good["op"] = "PUB"
+        raw.sendall((json.dumps(good) + "\n").encode())
+        replies = [json.loads(lines.readline()) for _ in range(2)]  # the ACKCOUNT and sre-1's MSG
+        assert {"op": "ACKCOUNT", "count": 1} in replies
+    finally:
+        lines.close()
+        raw.close()
+        server.stop()
+    join_all(threads_since(before))
+    assert raised == []
+
+
+def test_client_reader_skips_a_record_that_is_not_an_object(monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+
+    def reply(rec):
+        return [[1, 2], "x", {"op": "ACKCOUNT", "count": 1}] if rec["op"] == "PUB" else []
+
+    server = FakeBusServer(reply)
+    client = BusClient("127.0.0.1", server.port, timeout=2.0)
+    try:
+        assert client.publish(notification(seq=1)) == 1
+        assert client.publish(notification(seq=2)) == 1
+    finally:
+        client.close()
+        server.close()
+    assert raised == []
+
+
+def test_close_releases_the_reader_file_and_ends_its_thread():
+    server = BusServer().start()
+    client = BusClient("127.0.0.1", server.port)
+    try:
+        assert client.publish(notification()) == 0
+        client.close()
+        assert client._reader.closed
+        assert not client._reader_thread.is_alive()
+    finally:
+        server.stop()

@@ -399,3 +399,56 @@ def test_select_plan_rescores_candidates_that_tie_up_to_rounding():
     chosen = composition.select_plan(composition.candidate_table(pm, reg, crit, []), {}, ())
     assert best.plan_id == "b+c"
     assert (chosen.plan_id, chosen.rank_score) == (best.plan_id, best.rank_score)
+
+
+def chain_model(n):
+    tasks = tuple(bpmn.ServiceTask(id=f"t{k}", operation_ref="op") for k in range(n))
+    order = ["start", *(t.id for t in tasks), "end"]
+    return bpmn.ProcessModel(
+        id="chain",
+        nodes=(bpmn.StartEvent(id="start"), *tasks, bpmn.EndEvent(id="end")),
+        flows=tuple(bpmn.SequenceFlow(id=f"f{k}", from_node=a, to_node=b)
+                    for k, (a, b) in enumerate(zip(order, order[1:]))),
+    )
+
+
+def mirror_registry(pm):
+    # 'm3' sorts before 'm3!' but 'm3!+' before 'm3+': which mirror the planId
+    # tie-break keeps depends on whether the task ends the planId
+    return CandidateRegistry(entries=tuple(
+        (t.id, (comp(f"m{k}", "op", 0.6, 0.4, 0.5), comp(f"m{k}!", "op", 0.6, 0.4, 0.5)))
+        for k, t in enumerate(pm.service_tasks())
+    ))
+
+
+@pytest.mark.parametrize("excluded", [(), ("m0!", "m9", "m4")])
+def test_select_plan_over_mirror_pairs_matches_the_ranked_plans(excluded):
+    pm = chain_model(10)
+    reg = mirror_registry(pm)
+    crit = RankingCriteria(1.0, 0.5, 0.2)
+    oracle = next(p for p in rank_plans(generate_plans(pm, reg), crit, reg)
+                  if not p.component_ids() & set(excluded))
+    chosen = composition.select_plan(composition.candidate_table(pm, reg, crit, []), {}, excluded)
+    assert (chosen.plan_id, chosen.bindings, chosen.rank_score) == (
+        oracle.plan_id, oracle.bindings, oracle.rank_score,
+    )
+    if not excluded:
+        assert chosen.plan_id == "+".join([f"m{k}!" for k in range(9)] + ["m9"])
+
+
+def test_select_plan_over_20_mirror_pairs_scores_a_bounded_number_of_plans(monkeypatch):
+    pm = chain_model(20)
+    reg = mirror_registry(pm)
+    score = composition._score
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= 100, "select_plan scores the product of mirror candidates"
+        return score(*args)
+
+    monkeypatch.setattr(composition, "_score", counted)
+    table = composition.candidate_table(pm, reg, RankingCriteria(1.0, 1.0, 1.0), [])
+    chosen = composition.select_plan(table, {}, ())
+    assert chosen.plan_id == "+".join([f"m{k}!" for k in range(19)] + ["m19"])
+    assert len(calls) == 40 + 1  # one per candidate row, one for the chosen product
