@@ -88,6 +88,16 @@ class Notification:
     threat_id: str | None = None
 
     def validate(self) -> None:
+        for name, value in (
+            ("topic", self.topic),
+            ("subjectComponentId", self.subject_component_id),
+            ("publisherId", self.publisher_id),
+        ):
+            if not isinstance(value, str):
+                raise ValidationError(f"notification {name} {value!r} is not a string")
+        for name, value in (("threatId", self.threat_id), ("payload value", self.payload.value)):
+            if value is not None and not isinstance(value, str):
+                raise ValidationError(f"notification {name} {value!r} is not a string")
         if not self.subject_component_id:
             raise ValidationError("notification subjectComponentId is empty")
         if "*" in self.subject_component_id or "." in self.subject_component_id:
@@ -155,7 +165,7 @@ class Notification:
             n.validate()
         except KeyError as exc:
             raise ValidationError(f"notification record missing field {exc}")
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ValidationError(f"malformed notification record: {exc}")
         return n
 
@@ -379,10 +389,11 @@ def encode_record(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def decode_record(line: str) -> dict:
+def decode_record(line: str | bytes) -> dict:
+    """One wire record; bytes must be UTF-8."""
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+        rec = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BusError(f"malformed wire record: {exc}")
     if not isinstance(rec, dict) or "op" not in rec:
         raise BusError("wire record is not an object with an 'op' field")
@@ -465,10 +476,9 @@ class BusServer:
                     send(rec)
 
         try:
-            with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+            with conn.makefile("rb") as reader:  # decode_record decodes each line
                 for line in reader:
-                    line = line.strip()
-                    if not line:
+                    if line.isspace():
                         continue
                     try:
                         rec = decode_record(line)
@@ -526,7 +536,7 @@ class BusClient:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise BusError(f"cannot reach bus at {host}:{port}: {exc}")
-        self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
+        self._reader = self._sock.makefile("rb")
         self._write_lock = threading.Lock()
         self._acks: deque[dict] = deque()
         self._msgs: deque[Notification] = deque()
@@ -546,12 +556,12 @@ class BusClient:
     def _read_loop(self) -> None:
         try:
             for line in self._reader:
-                line = line.strip()
-                if not line:
+                if line.isspace():
                     continue
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    log.warning("dropping wire record that is not an object: %.80s", line)
+                try:
+                    rec = decode_record(line)
+                except BusError as exc:
+                    log.warning("dropping wire record: %s", exc)
                     continue
                 with self._cond:
                     if rec.get("op") == "MSG":

@@ -12,9 +12,7 @@ here are pure; ThreatState is the one mutable type and hands out snapshots.
 Per binding, select_plan checks a candidate against the (threat id,
 predicate) pairs that candidate_table precomputes for its task, a few dict
 lookups that decide what verify_plan decides for a one-task binding; it
-builds no plan or verdict. Mirror candidates, those of one task with
-bit-identical (trust, latency, cost), collapse to the one the planId
-tie-break prefers, so ties among them cost no enumeration.
+builds no plan or verdict.
 """
 
 from __future__ import annotations
@@ -298,18 +296,9 @@ def select_plan(
     within 1e-9 of a task's best are kept too, and their product is scored
     with the full formula, so float rounding and planId tie-breaks match
     rank_plans.
-
-    Before the product, a task's kept mirrors (bit-identical trust, latency
-    and cost) collapse to one: whichever is bound, every plan scores the
-    same, so only the planId tie-break tells them apart. Ids hold no '+', so
-    the strings id + '+' are prefix-free and the one that sorts first wins
-    whatever the other tasks bind; the last task in document order ends the
-    planId, so there the plain id decides. A product over n tasks of mirror
-    pairs is thus one plan, not 2**n.
     """
     best = []
-    last = len(table.rows) - 1
-    for k, (_, scored, checks) in enumerate(table.rows):
+    for _, scored, checks in table.rows:
         tied: list[ComponentDescriptor] = []
         for score, c in scored:
             if tied and score < top - 1e-9:
@@ -324,26 +313,13 @@ def select_plan(
             tied.append(c)
         if not tied:
             return None
-        best.append(_collapse_mirrors(tied, "" if k == last else "+") if len(tied) > 1 else tied)
+        best.append(tied)
     tasks = table.process.index.service_tasks
     plans = (
         _plan(tasks, combo, _score(combo, table.criteria, table.max_mean_cost))
         for combo in itertools.product(*best)
     )
     return min(plans, key=lambda p: (-p.rank_score, p.plan_id))
-
-
-def _collapse_mirrors(tied: list[ComponentDescriptor], sep: str) -> list[ComponentDescriptor]:
-    """One candidate per (trust, latency, cost) profile, the one whose
-    id + sep sorts first. Floats that compare equal differ at most in the
-    sign of a zero, which no mean sees: each sum starts at +0."""
-    keep: dict[tuple[float, float, float], ComponentDescriptor] = {}
-    for c in tied:
-        profile = (c.trustworthiness, c.latency_score, c.cost)
-        kept = keep.get(profile)
-        if kept is None or c.id + sep < kept.id + sep:
-            keep[profile] = c
-    return list(keep.values())
 
 
 def verify_plan(

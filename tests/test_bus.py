@@ -280,8 +280,8 @@ class FakeBusServer:
             for line in lines:
                 rec = json.loads(line)
                 self.received.append(rec)
-                for out in self._reply(rec):
-                    conn.sendall((json.dumps(out) + "\n").encode())
+                for out in self._reply(rec):  # bytes go out as they are
+                    conn.sendall(out if isinstance(out, bytes) else (json.dumps(out) + "\n").encode())
 
     def close(self):
         self._listener.close()
@@ -545,8 +545,8 @@ def test_offer_to_a_full_queue_with_a_waiting_poller_drops_the_oldest():
 def _malformed(field, value):
     rec = notification(seq=1).to_record()
     rec["op"] = "PUB"
-    if field == "probability":
-        rec["payload"]["probability"] = value
+    if field in ("probability", "value"):
+        rec["payload"][field] = value
     else:
         rec[field] = value
     return rec
@@ -554,11 +554,17 @@ def _malformed(field, value):
 
 @pytest.mark.parametrize("bad", [
     _malformed("seq", "x"),
+    _malformed("seq", float("inf")),
     _malformed("payload", "x"),
     _malformed("probability", "hi"),
+    _malformed("value", {"a": 1}),
     _malformed("subjectComponentId", 7),
+    _malformed("publisherId", [1]),
+    _malformed("threatId", [1]),
     {"op": "SUB", "subscriberId": "sre-2", "topicPattern": 7},
-], ids=["seq", "payload", "probability", "subject", "topic-pattern"])
+    b'{"op": "PUB", "publisherId": "\xff"}\n',
+], ids=["seq", "seq-infinite", "payload", "probability", "value", "subject", "publisher",
+        "threat", "topic-pattern", "not-utf8"])
 def test_malformed_record_gets_an_error_reply_and_keeps_the_connection(bad, monkeypatch):
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
@@ -570,7 +576,7 @@ def test_malformed_record_gets_an_error_reply_and_keeps_the_connection(bad, monk
         raw.sendall(b'{"op":"SUB","subscriberId":"sre-1","topicPattern":"threat-level-change.*"}\n')
         wait_until(lambda: server.broker.has_subscription("sre-1", "threat-level-change.*"),
                    "the SUB was never applied")
-        raw.sendall((json.dumps(bad) + "\n").encode())
+        raw.sendall(bad if isinstance(bad, bytes) else (json.dumps(bad) + "\n").encode())
         reply = json.loads(lines.readline())
         assert (reply["op"], reply["count"]) == ("ACKCOUNT", -1) and reply["error"]
         good = notification(seq=2).to_record()
@@ -586,12 +592,15 @@ def test_malformed_record_gets_an_error_reply_and_keeps_the_connection(bad, monk
     assert raised == []
 
 
-def test_client_reader_skips_a_record_that_is_not_an_object(monkeypatch):
+def test_client_reader_skips_a_record_it_cannot_decode(monkeypatch):
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
 
     def reply(rec):
-        return [[1, 2], "x", {"op": "ACKCOUNT", "count": 1}] if rec["op"] == "PUB" else []
+        if rec["op"] != "PUB":
+            return []
+        return [b'{"op": "ACKCOUNT", "count": 1\n', b'"\xff"\n', [1, 2], "x", {"count": 1},
+                {"op": "ACKCOUNT", "count": 1}]
 
     server = FakeBusServer(reply)
     client = BusClient("127.0.0.1", server.port, timeout=2.0)

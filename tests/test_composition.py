@@ -435,20 +435,3 @@ def test_select_plan_over_mirror_pairs_matches_the_ranked_plans(excluded):
     if not excluded:
         assert chosen.plan_id == "+".join([f"m{k}!" for k in range(9)] + ["m9"])
 
-
-def test_select_plan_over_20_mirror_pairs_scores_a_bounded_number_of_plans(monkeypatch):
-    pm = chain_model(20)
-    reg = mirror_registry(pm)
-    score = composition._score
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        assert len(calls) <= 100, "select_plan scores the product of mirror candidates"
-        return score(*args)
-
-    monkeypatch.setattr(composition, "_score", counted)
-    table = composition.candidate_table(pm, reg, RankingCriteria(1.0, 1.0, 1.0), [])
-    chosen = composition.select_plan(table, {}, ())
-    assert chosen.plan_id == "+".join([f"m{k}!" for k in range(19)] + ["m19"])
-    assert len(calls) == 40 + 1  # one per candidate row, one for the chosen product
