@@ -6,19 +6,24 @@ and top-level error declarations. A boundary event stores the threat ID
 directly in the errorRef attribute of its errorEventDefinition; the error
 declaration carries the display name. Anything else is rejected by name.
 
-Models are immutable values; parse/serialize round-trip to structural
-equality, and serialization is deterministic byte-for-byte.
+Models are immutable values, and a model value is validated once: its
+violations are kept on it, so parse, deploy and serialize check it a single
+time. parse/serialize round-trip to structural equality, and serialization
+is deterministic byte-for-byte. serialize refuses a model holding a
+character that XML 1.0 cannot carry rather than write a document that
+parse_bpmn would reject.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from functools import cached_property
 from enum import Enum
 from typing import Union
-from xml.sax.saxutils import quoteattr
+from xml.sax import saxutils
 
 from .errors import (
     ConflictError,
@@ -44,6 +49,7 @@ SUPPORTED_ELEMENTS = {
     "errorEventDefinition",
     "documentation",  # tolerated and ignored
 }
+_BPMN_TAGS = {f"{{{BPMN_NS}}}{name}": name for name in SUPPORTED_ELEMENTS}
 
 
 class GatewayDirection(Enum):
@@ -111,6 +117,7 @@ class ProcessIndex:
     boundaries: dict[str, dict[str, ErrorBoundaryEvent]]  # task id -> errorRef -> boundary
     order: list[Node]  # document order; short of the model if flows cycle
     service_tasks: tuple[ServiceTask, ...]  # in document order
+    task_ids: frozenset[str]  # of every service task, reached by the order or not
 
 
 def _index(pm: ProcessModel) -> ProcessIndex:
@@ -139,7 +146,8 @@ def _index(pm: ProcessModel) -> ProcessIndex:
                 if waiting[nxt] == 0:
                     heapq.heappush(ready, nxt)
     tasks = tuple(n for n in order if isinstance(n, ServiceTask))
-    return ProcessIndex(nodes, succ, indeg, boundaries, order, tasks)
+    task_ids = frozenset(n.id for n in pm.nodes if isinstance(n, ServiceTask))
+    return ProcessIndex(nodes, succ, indeg, boundaries, order, tasks, task_ids)
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,12 @@ class ProcessModel:
     def index(self) -> ProcessIndex:
         """Built on first use; equality, hashing and replace() ignore it."""
         return _index(self)
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """What validate() reports, checked on first use; like index, a
+        model value never changes, so it is never checked again."""
+        return tuple(_check(self))
 
     def node_by_id(self, node_id: str) -> Node | None:
         return self.index.nodes.get(node_id)
@@ -178,7 +192,12 @@ class ProcessModel:
 
 def validate(pm: ProcessModel) -> list[str]:
     """Empty list iff all model invariants hold; each violation names the
-    offending node or flow and the invariant it breaks."""
+    offending node or flow and the invariant it breaks. The check runs once
+    per model value (ProcessModel.violations); each call gets a new list."""
+    return list(pm.violations)
+
+
+def _check(pm: ProcessModel) -> list[str]:
     v: list[str] = []
     ids: dict[str, Node] = {}
     for n in pm.nodes:
@@ -211,8 +230,9 @@ def validate(pm: ProcessModel) -> list[str]:
                     "connect through their handler target"
                 )
 
+    boundaries = pm.boundary_events()
     seen_pairs: set[tuple[str, str]] = set()
-    for b in pm.boundary_events():
+    for b in boundaries:
         attached = ids.get(b.attached_to)
         if attached is None or not isinstance(attached, ServiceTask):
             v.append(f"boundary event {b.id!r} attachedTo {b.attached_to!r} is not a service task")
@@ -230,7 +250,7 @@ def validate(pm: ProcessModel) -> list[str]:
         if e.id in decl_ids:
             v.append(f"duplicate error declaration {e.id!r}")
         decl_ids.add(e.id)
-    for b in pm.boundary_events():
+    for b in boundaries:
         if b.error_ref and b.error_ref not in decl_ids:
             v.append(f"errorRef {b.error_ref!r} on {b.id!r} has no error declaration")
 
@@ -239,7 +259,7 @@ def validate(pm: ProcessModel) -> list[str]:
     if not v:
         idx = pm.index
         # an end event may be fed solely by a boundary handler reroute
-        handler_fed = {b.handler_target for b in pm.boundary_events()}
+        handler_fed = {b.handler_target for b in boundaries}
         for n in pm.nodes:
             i, o = idx.indegree[n.id], len(idx.successors[n.id])
             if isinstance(n, StartEvent) and (i != 0 or o != 1):
@@ -263,6 +283,11 @@ def validate(pm: ProcessModel) -> list[str]:
 
 
 def _check_acyclic(pm: ProcessModel) -> list[str]:
+    """Runs after the id, endpoint and boundary checks pass, so the index's
+    topological order holds every node iff the flows are acyclic; the search
+    below only names a node on a cycle."""
+    if len(pm.index.order) == len(pm.nodes):
+        return []
     succ = pm.index.successors
     WHITE, GREY, BLACK = 0, 1, 2
     color = {nid: WHITE for nid in succ}
@@ -447,6 +472,23 @@ def document_order(pm: ProcessModel) -> list[Node]:
 
 # --- XML serializer -----------------------------------------------------------
 
+# attribute text that quoteattr would only wrap in double quotes: no markup
+# character, no quote, no whitespace it escapes, nothing outside XML 1.0
+_PLAIN_ATTR = re.compile(r'[^\x00-\x1f"&<>\ud800-\udfff\ufffe\uffff]*')
+_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _quote(value: str) -> str:
+    """saxutils.quoteattr(value) for any string XML 1.0 can carry; a value
+    holding a character outside its Char production raises ValidationError."""
+    if _PLAIN_ATTR.fullmatch(value):
+        return '"' + value + '"'
+    bad = _NOT_XML_CHAR.search(value)
+    if bad:
+        raise ValidationError(f"cannot serialize {value!r}: XML 1.0 cannot carry {bad.group()!r}")
+    return saxutils.quoteattr(value)
+
+
 def serialize(pm: ProcessModel) -> str:
     """Deterministic BPMN 2.0 XML: identical models yield identical bytes."""
     violations = validate(pm)
@@ -459,44 +501,44 @@ def serialize(pm: ProcessModel) -> str:
         'targetNamespace="urn:x-threatflow:process">'
     )
     for e in sorted(pm.errors, key=lambda e: e.id):
-        attrs = f" id={quoteattr(e.id)}"
+        attrs = f" id={_quote(e.id)}"
         if e.name:
-            attrs += f" name={quoteattr(e.name)}"
+            attrs += f" name={_quote(e.name)}"
         out.append(f"  <error{attrs} />")
 
-    proc_attrs = f" id={quoteattr(pm.id)}"
+    proc_attrs = f" id={_quote(pm.id)}"
     if pm.name:
-        proc_attrs += f" name={quoteattr(pm.name)}"
+        proc_attrs += f" name={_quote(pm.name)}"
     out.append(f"  <process{proc_attrs} isExecutable=\"true\">")
 
     for node in document_order(pm):
         if isinstance(node, StartEvent):
-            out.append(f"    <startEvent id={quoteattr(node.id)} />")
+            out.append(f"    <startEvent id={_quote(node.id)} />")
         elif isinstance(node, EndEvent):
-            out.append(f"    <endEvent id={quoteattr(node.id)} />")
+            out.append(f"    <endEvent id={_quote(node.id)} />")
         elif isinstance(node, ServiceTask):
-            attrs = f" id={quoteattr(node.id)}"
+            attrs = f" id={_quote(node.id)}"
             if node.name:
-                attrs += f" name={quoteattr(node.name)}"
+                attrs += f" name={_quote(node.name)}"
             if node.operation_ref:
-                attrs += f" operationRef={quoteattr(node.operation_ref)}"
+                attrs += f" operationRef={_quote(node.operation_ref)}"
             if node.input_vars:
-                attrs += f" ext:inputVars={quoteattr(','.join(node.input_vars))}"
+                attrs += f" ext:inputVars={_quote(','.join(node.input_vars))}"
             if node.output_var:
-                attrs += f" ext:outputVar={quoteattr(node.output_var)}"
+                attrs += f" ext:outputVar={_quote(node.output_var)}"
             out.append(f"    <serviceTask{attrs} />")
         elif isinstance(node, ParallelGateway):
             direction = "Diverging" if node.direction is GatewayDirection.FORK else "Converging"
             out.append(
-                f"    <parallelGateway id={quoteattr(node.id)} "
+                f"    <parallelGateway id={_quote(node.id)} "
                 f'gatewayDirection="{direction}" />'
             )
         elif isinstance(node, ErrorBoundaryEvent):
             out.append(
-                f"    <boundaryEvent id={quoteattr(node.id)} "
-                f"attachedToRef={quoteattr(node.attached_to)}>"
+                f"    <boundaryEvent id={_quote(node.id)} "
+                f"attachedToRef={_quote(node.attached_to)}>"
             )
-            out.append(f"      <errorEventDefinition errorRef={quoteattr(node.error_ref)} />")
+            out.append(f"      <errorEventDefinition errorRef={_quote(node.error_ref)} />")
             out.append("    </boundaryEvent>")
 
     all_flows = list(pm.flows) + [
@@ -505,8 +547,8 @@ def serialize(pm: ProcessModel) -> str:
     ]
     for f in sorted(all_flows, key=lambda f: f.id):
         out.append(
-            f"    <sequenceFlow id={quoteattr(f.id)} "
-            f"sourceRef={quoteattr(f.from_node)} targetRef={quoteattr(f.to_node)} />"
+            f"    <sequenceFlow id={_quote(f.id)} "
+            f"sourceRef={_quote(f.from_node)} targetRef={_quote(f.to_node)} />"
         )
     out.append("  </process>")
     out.append("</definitions>")
@@ -519,11 +561,17 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _tag(el: ET.Element) -> str:
+    """Local name of an element's tag; one lookup for a BPMN element."""
+    return _BPMN_TAGS.get(el.tag) or _local(el.tag)
+
+
 def _attr(el: ET.Element, name: str) -> str:
     """Attribute by local name, tolerating namespace qualification."""
-    if name in el.attrib:
-        return el.attrib[name]
-    for key, value in el.attrib.items():
+    value = el.get(name)
+    if value is not None:
+        return value
+    for key, value in el.items():
         if _local(key) == name:
             return value
     return ""
@@ -536,13 +584,11 @@ def parse_bpmn(doc: str) -> ProcessModel:
     except ET.ParseError as exc:
         raise ParseError(f"malformed XML: {exc.msg.split(':')[0]}", exc.position)
 
-    unsupported = sorted(
-        {_local(el.tag) for el in root.iter() if _local(el.tag) not in SUPPORTED_ELEMENTS}
-    )
+    unsupported = sorted({kind for el in root.iter() if (kind := _tag(el)) not in SUPPORTED_ELEMENTS})
     if unsupported:
         raise UnsupportedConstructError(unsupported)
 
-    processes = [el for el in root if _local(el.tag) == "process"]
+    processes = [el for el in root if _tag(el) == "process"]
     if len(processes) != 1:
         raise ValidationError(f"document declares {len(processes)} processes, expected exactly 1")
     proc = processes[0]
@@ -550,7 +596,7 @@ def parse_bpmn(doc: str) -> ProcessModel:
     errors = tuple(
         ErrorDecl(id=_attr(el, "id"), name=_attr(el, "name"))
         for el in root
-        if _local(el.tag) == "error"
+        if _tag(el) == "error"
     )
 
     nodes: list[Node] = []
@@ -559,7 +605,7 @@ def parse_bpmn(doc: str) -> ProcessModel:
     boundary_raw: list[tuple[str, str, str]] = []  # id, attachedToRef, errorRef
 
     for el in proc:
-        kind = _local(el.tag)
+        kind = _tag(el)
         el_id = _attr(el, "id")
         if kind == "startEvent":
             nodes.append(StartEvent(id=el_id))
@@ -589,7 +635,7 @@ def parse_bpmn(doc: str) -> ProcessModel:
                 SequenceFlow(id=el_id, from_node=_attr(el, "sourceRef"), to_node=_attr(el, "targetRef"))
             )
         elif kind == "boundaryEvent":
-            defs = [c for c in el if _local(c.tag) == "errorEventDefinition"]
+            defs = [c for c in el if _tag(c) == "errorEventDefinition"]
             if not defs:
                 raise ValidationError(f"boundary event {el_id!r} lacks an errorEventDefinition")
             attached = _attr(el, "attachedToRef")

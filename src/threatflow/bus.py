@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import re
 import socket
 import threading
 import time
@@ -176,8 +177,14 @@ class Subscription:
     topic_pattern: str
 
 
+# exactly the patterns the step-by-step checks below accept
+_VALID_PATTERN = re.compile(r"[^.*]+(?:\.[^.*]+)+|[^.*]+\.\*")
+
+
 def validate_pattern(pattern: str) -> None:
     """Accept an exact topic or an '<event-type>.*' trailing wildcard."""
+    if _VALID_PATTERN.fullmatch(pattern):
+        return
     if not pattern or pattern.isspace():
         raise ValidationError("empty topic pattern")
     segments = pattern.split(".")
@@ -269,6 +276,7 @@ class Broker:
         self._lock = threading.Lock()
         self._subscribers: dict[str, set[str]] = {}  # topic pattern -> subscriber ids
         self._queues: dict[str, _SubscriberQueue] = {}
+        self._held: dict[str, int] = {}  # subscriber id -> patterns it holds, while any
         self._last_seq: dict[str, int] = {}  # publisher id -> highest seq accepted
         self.queue_capacity = queue_capacity
 
@@ -278,7 +286,10 @@ class Broker:
         if not sub.subscriber_id:
             raise ValidationError("empty subscriberId")
         with self._lock:
-            self._subscribers.setdefault(sub.topic_pattern, set()).add(sub.subscriber_id)  # idempotent
+            sids = self._subscribers.setdefault(sub.topic_pattern, set())
+            if sub.subscriber_id not in sids:  # idempotent
+                sids.add(sub.subscriber_id)
+                self._held[sub.subscriber_id] = self._held.get(sub.subscriber_id, 0) + 1
             if queue is not None:
                 self._queues[sub.subscriber_id] = queue
             elif sub.subscriber_id not in self._queues:
@@ -286,6 +297,7 @@ class Broker:
         return SubscriptionHandle(sub.subscriber_id, sub.topic_pattern, self)
 
     def unsubscribe(self, handle: SubscriptionHandle) -> None:
+        """Once the id holds no pattern, its entry goes if its queue is empty."""
         with self._lock:
             sids = self._subscribers.get(handle.topic_pattern)
             if not sids or handle.subscriber_id not in sids:
@@ -297,13 +309,20 @@ class Broker:
             sids.discard(handle.subscriber_id)
             if not sids:
                 del self._subscribers[handle.topic_pattern]
-            # the queue stays drainable: in-flight items may still be consumed
+            held = self._held[handle.subscriber_id] - 1
+            if held:
+                self._held[handle.subscriber_id] = held
+            else:  # forget the id, unless its queue holds items still to be drained
+                del self._held[handle.subscriber_id]
+                if not len(self._queues[handle.subscriber_id]):
+                    del self._queues[handle.subscriber_id]
 
     def release(self, subscriber_id: str, queue: _SubscriberQueue) -> None:
         """Drop the id's patterns and queue entry if `queue` still serves it."""
         with self._lock:
             if self._queues.get(subscriber_id) is queue:
                 del self._queues[subscriber_id]
+                self._held.pop(subscriber_id, None)
                 for pattern, sids in list(self._subscribers.items()):  # scans every pattern
                     sids.discard(subscriber_id)
                     if not sids:

@@ -262,22 +262,27 @@ def candidate_table(
     """reg must pass validate_against(pm). The mean of per-task maximum costs
     equals rank_plans' maximum mean cost exactly: float addition is monotone.
     A row keeps only the rules verify_plan can fail on: ThreatLevelChange
-    rules with both a predicate and a threat id."""
+    rules with both a predicate and a threat id. A one-task score is
+    _score([c], ...) term by term: _mean([x]) is 0 + x, which is x except
+    that -0.0 becomes 0.0, hence the + 0.0 below."""
     tasks = pm.index.service_tasks
     max_mean_cost = _mean([max(c.cost for c in reg.candidates(t.id)) for t in tasks])
+    checks: dict[str, list[tuple[str, Predicate]]] = {}
+    for r in rules:
+        if r.event_type is EventType.THREAT_LEVEL_CHANGE and r.predicate is not None and r.threat_id is not None:
+            checks.setdefault(r.subject_task_id, []).append((r.threat_id, r.predicate))
+    w_trust, w_qos, w_cost = criteria.w_trust, criteria.w_qos, criteria.w_cost
+    weight = w_trust + w_qos + w_cost
+
+    def one_task_score(c: ComponentDescriptor) -> float:
+        norm_cost = (c.cost + 0.0) / max_mean_cost if max_mean_cost > 0 else 0.0
+        return (w_trust * (c.trustworthiness + 0.0) + w_qos * (c.latency_score + 0.0) - w_cost * norm_cost) / weight
+
     rows = []
     for task in tasks:
-        scored = [(_score([c], criteria, max_mean_cost), c) for c in reg.candidates(task.id)]
+        scored = [(one_task_score(c), c) for c in reg.candidates(task.id)]
         scored.sort(key=lambda sc: sc[0], reverse=True)
-        checks = tuple(
-            (r.threat_id, r.predicate)
-            for r in rules
-            if r.subject_task_id == task.id
-            and r.event_type is EventType.THREAT_LEVEL_CHANGE
-            and r.predicate is not None
-            and r.threat_id is not None
-        )
-        rows.append((task, scored, checks))
+        rows.append((task, scored, tuple(checks.get(task.id, ()))))
     return CandidateTable(pm, criteria, max_mean_cost, tuple(rows))
 
 

@@ -145,7 +145,7 @@ class AdaptationRule:
 
     def validate_against(self, pm: bpmn.ProcessModel) -> None:
         self.validate()
-        task_ids = {t.id for t in pm.service_tasks()}
+        task_ids = pm.index.task_ids
         if self.subject_task_id not in task_ids:
             raise ValidationError(
                 f"rule {self.rule_id!r} subject task {self.subject_task_id!r} "

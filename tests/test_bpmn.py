@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -353,3 +354,22 @@ def test_index_tolerates_models_that_fail_validation():
     assert pm.node_by_id("s") == bpmn.StartEvent(id="s")
     assert pm.index.successors["ghost"] == ["e"]
     assert bpmn.validate(pm)
+
+
+def test_serialize_refuses_a_character_xml_cannot_carry():
+    pm = linear_model()
+    bad = replace(pm, nodes=tuple(replace(n, name="a\x01b") if n.id == "t1" else n for n in pm.nodes))
+    assert bpmn.validate(bad) == []
+    with pytest.raises(ValidationError, match=re.escape(repr("a\x01b"))):
+        bpmn.serialize(bad)
+
+
+def test_violations_are_kept_on_the_model_value():
+    pm = bpmn.attach_threat(linear_model(), "t1", "T-DOS")
+    twin = bpmn.ProcessModel(id=pm.id, name=pm.name, nodes=pm.nodes, flows=pm.flows, errors=pm.errors)
+    first = bpmn.validate(pm)
+    first.append("caller's own entry")
+    assert bpmn.validate(pm) == [] and pm.violations == ()
+    assert pm == twin and hash(pm) == hash(twin) and repr(pm) == repr(twin)
+    broken = replace(pm, flows=pm.flows[1:])
+    assert bpmn.validate(broken) == list(broken.violations) != []

@@ -623,3 +623,28 @@ def test_close_releases_the_reader_file_and_ends_its_thread():
         assert not client._reader_thread.is_alive()
     finally:
         server.stop()
+
+
+def test_unsubscribe_churn_forgets_every_id():
+    broker = Broker()
+    for i in range(1000):
+        broker.unsubscribe(broker.subscribe(Subscription(f"id-{i}", f"threat-level-change.c{i}")))
+    assert broker._queues == {} and broker._subscribers == {}
+    for pattern in ("threat-level-change.mapA", "threat-level-change.*"):
+        broker.subscribe(Subscription("twice", pattern))
+        broker.subscribe(Subscription("twice", pattern))  # idempotent: one pattern held, not two
+    broker.unsubscribe(bus.SubscriptionHandle("twice", "threat-level-change.mapA", broker))
+    assert "twice" in broker._queues
+    broker.unsubscribe(bus.SubscriptionHandle("twice", "threat-level-change.*", broker))
+    assert broker._queues == {}
+
+
+def test_unsubscribing_the_last_pattern_keeps_pending_items_drainable():
+    broker = Broker()
+    handle = broker.subscribe(Subscription("sre", "threat-level-change.mapA"))
+    assert broker.publish(notification(seq=1)) == 1
+    broker.unsubscribe(handle)
+    assert broker.publish(notification(seq=2)) == 0
+    assert broker.poll("sre").seq == 1 and broker.poll("sre") is None
+    broker.subscribe(Subscription("sre", "threat-level-change.mapA"))
+    assert broker.publish(notification(seq=3)) == 1 and broker.poll("sre").seq == 3

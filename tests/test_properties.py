@@ -1,12 +1,17 @@
 """Property-based checks for the invariants that hold over whole input spaces."""
 
+import itertools
+import random
+import re
 from dataclasses import replace
 from unittest import mock
+from xml.sax.saxutils import quoteattr
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threatflow import bpmn, runtime
+from threatflow import bpmn, composition, runtime
 from threatflow.bus import (
     Broker,
     EventType,
@@ -16,6 +21,7 @@ from threatflow.bus import (
     SubscriptionHandle,
     topic_for,
     topic_matches,
+    validate_pattern,
 )
 from threatflow.composition import (
     CandidateRegistry,
@@ -457,3 +463,134 @@ def test_alert_path_matches_the_full_scan_reference(case):
             assert got == want, op
             assert _state(fast) == _state(full), op
             assert fast_calls == [c for c in calls if c[3]], op
+
+
+# --- design-time fast paths against the references they replace --------------
+
+def _xml_char(ch: str) -> bool:
+    """The Char production of XML 1.0."""
+    cp = ord(ch)
+    return ch in "\t\n\r" or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or cp >= 0x10000
+
+
+MARKUP = st.sampled_from("&<>\"'\n\r\t")
+XML_CHARS = st.one_of(
+    MARKUP,
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000),
+)
+ANY_CHARS = st.one_of(MARKUP, st.characters())
+XML_TEXT, ANY_TEXT = st.text(XML_CHARS), st.text(ANY_CHARS)
+
+
+@given(value=XML_TEXT)
+def test_attribute_quoting_equals_quoteattr_on_xml_text(value):
+    assert bpmn._quote(value) == quoteattr(value)
+
+
+@given(head=XML_TEXT, bad=st.characters().filter(lambda ch: not _xml_char(ch)), tail=ANY_TEXT)
+def test_attribute_quoting_refuses_what_xml_cannot_carry(head, bad, tail):
+    value = head + bad + tail
+    with pytest.raises(ValidationError, match=re.escape(f"{value!r}: XML 1.0 cannot carry {bad!r}")):
+        bpmn._quote(value)
+
+
+@settings(deadline=None)
+@given(
+    ids=st.lists(st.text(XML_CHARS, min_size=1) | st.text(ANY_CHARS, min_size=1), min_size=8, max_size=8, unique=True),
+    names=st.lists(XML_TEXT | ANY_TEXT, min_size=5, max_size=5),
+)
+@example(
+    ids=["s&", "t<1>", 't"2\'', "e\n", "f\r1", "f\t2", "f 3", "b&<>\"'\n\r\t"],
+    names=["p&<>", "n\"'", "n\r\n\t", "x'", ""],
+)
+def test_serialize_round_trips_or_refuses_any_text(ids, names):
+    start, t1, t2, end, f1, f2, f3, boundary = ids
+    pm = bpmn.ProcessModel(
+        id=names[0] + "p",
+        name=names[0],
+        nodes=(
+            bpmn.StartEvent(id=start),
+            bpmn.ServiceTask(id=t1, name=names[1], operation_ref=names[2]),
+            bpmn.ServiceTask(id=t2, name=names[3]),
+            bpmn.EndEvent(id=end),
+            bpmn.ErrorBoundaryEvent(id=boundary, attached_to=t1, error_ref=names[4] + "T", handler_target=end),
+        ),
+        flows=(
+            bpmn.SequenceFlow(id=f1, from_node=start, to_node=t1),
+            bpmn.SequenceFlow(id=f2, from_node=t1, to_node=t2),
+            bpmn.SequenceFlow(id=f3, from_node=t2, to_node=end),
+        ),
+        errors=(bpmn.ErrorDecl(id=names[4] + "T", name=names[3]),),
+    )
+    try:
+        doc = bpmn.serialize(pm)
+    except ValidationError:
+        assert bpmn.validate(pm) or not all(map(_xml_char, "".join(ids + names)))
+        return
+    assert bpmn.structurally_equal(bpmn.parse_bpmn(doc), pm)
+
+
+def _validate_pattern_by_steps(pattern: str) -> None:
+    """bus.validate_pattern as a sequence of checks, the reference for its
+    one-regex accept path."""
+    if not pattern or pattern.isspace():
+        raise ValidationError("empty topic pattern")
+    segments = pattern.split(".")
+    if len(segments) < 2 or any(not s for s in segments):
+        raise ValidationError(f"pattern {pattern!r} must be '<event-type>.<subject>'")
+    head, tail = segments[0], segments[1:]
+    if "*" in head or any("*" in s for s in tail[:-1]):
+        raise ValidationError(f"pattern {pattern!r}: '*' is only valid as the trailing segment")
+    if tail[-1] != "*" and "*" in tail[-1]:
+        raise ValidationError(f"pattern {pattern!r}: partial wildcards are not supported")
+    if tail[-1] == "*" and len(tail) != 1:
+        raise ValidationError(f"pattern {pattern!r}: wildcard must follow the event-type segment")
+
+
+def _pattern_verdict(check, pattern):
+    try:
+        check(pattern)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_pattern_matches_the_step_by_step_checks_on_short_patterns():
+    for size in range(7):
+        for chars in itertools.product("a.* \n-", repeat=size):
+            pattern = "".join(chars)
+            assert _pattern_verdict(validate_pattern, pattern) == _pattern_verdict(
+                _validate_pattern_by_steps, pattern), pattern
+
+
+@given(pattern=st.text(st.sampled_from("ab.*- \n\t　")) | st.text())
+def test_validate_pattern_matches_the_step_by_step_checks(pattern):
+    assert _pattern_verdict(validate_pattern, pattern) == _pattern_verdict(_validate_pattern_by_steps, pattern)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([-0.0, 0.0, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    profiles=st.lists(
+        st.tuples(UNIT, UNIT, st.floats(min_value=0.0, max_value=1e6) | st.sampled_from([-0.0, 0.0])),
+        min_size=1, max_size=6,
+    ),
+    weights=st.tuples(UNIT, UNIT, UNIT).filter(lambda w: sum(w) > 0),
+)
+def test_candidate_table_one_task_scores_equal_the_score_formula(profiles, weights):
+    pm = random_process(random.Random(len(profiles)), max_tasks=3, parallel_ok=False)
+    tasks = pm.service_tasks()
+    reg = CandidateRegistry(entries=tuple(
+        (t.id, tuple(ComponentDescriptor(f"{t.id}-c{j}", "prov", t.operation_ref, trust, qos, cost)
+                     for j, (trust, qos, cost) in enumerate(profiles[k:] or profiles)))
+        for k, t in enumerate(tasks)
+    ))
+    criteria = RankingCriteria(*weights)
+    table = candidate_table(pm, reg, criteria, [])
+    for _, scored, _ in table.rows:
+        for score, c in scored:
+            assert score.hex() == composition._score([c], criteria, table.max_mean_cost).hex()

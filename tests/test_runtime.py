@@ -647,3 +647,14 @@ def test_plan_switch_rebinds_changed_not_started_tasks_in_instance_then_task_ord
     assert svc.instances[past_t1].bindings == {"t1": "t1-c1", "t2": "shared", "t3": "t3-alt"}
     assert svc.instances[at_t1].bindings == {"t1": "t1-c1", "t2": "t2-alt", "t3": "t3-alt"}
     assert {svc.instances[i].plan_id for i in (past_t1, at_t1)} == {"t1-c1+t2-alt+t3-alt"}
+
+
+def test_parse_deploy_serialize_checks_the_graph_once(monkeypatch):
+    doc = bpmn.serialize(linear_model())
+    calls = []
+    check = bpmn._check_reachability
+    monkeypatch.setattr(bpmn, "_check_reachability", lambda pm: calls.append(pm) or check(pm))
+    pm = bpmn.parse_bpmn(doc)
+    deploy(pm, registry_for(pm), rules=[], criteria=CRITERIA, broker=Broker(), invoker=ScriptedInvoker())
+    assert bpmn.serialize(pm) == doc
+    assert calls == [pm]
