@@ -571,8 +571,9 @@ def _attr(el: ET.Element, name: str) -> str:
     value = el.get(name)
     if value is not None:
         return value
+    qualified = "}" + name  # no key equals name, so this is _local(key) == name
     for key, value in el.items():
-        if _local(key) == name:
+        if key.endswith(qualified):
             return value
     return ""
 

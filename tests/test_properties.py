@@ -489,7 +489,11 @@ def test_attribute_quoting_equals_quoteattr_on_xml_text(value):
     assert bpmn._quote(value) == quoteattr(value)
 
 
-@given(head=XML_TEXT, bad=st.characters().filter(lambda ch: not _xml_char(ch)), tail=ANY_TEXT)
+NOT_XML_CHARS = st.sampled_from([chr(cp) for cp in range(0x20) if chr(cp) not in "\t\n\r"]
+                                + ["\ud800", "\udbff", "\udc00", "\udfff", "\ufffe", "\uffff"])
+
+
+@given(head=XML_TEXT, bad=NOT_XML_CHARS, tail=ANY_TEXT)
 def test_attribute_quoting_refuses_what_xml_cannot_carry(head, bad, tail):
     value = head + bad + tail
     with pytest.raises(ValidationError, match=re.escape(f"{value!r}: XML 1.0 cannot carry {bad!r}")):
