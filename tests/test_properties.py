@@ -569,7 +569,7 @@ def test_validate_pattern_matches_the_step_by_step_checks_on_short_patterns():
                 _validate_pattern_by_steps, pattern), pattern
 
 
-@given(pattern=st.text(st.sampled_from("ab.*- \n\t　")) | st.text())
+@given(pattern=st.text(st.sampled_from("ab.*- \n\t\u3000")) | st.text())
 def test_validate_pattern_matches_the_step_by_step_checks(pattern):
     assert _pattern_verdict(validate_pattern, pattern) == _pattern_verdict(_validate_pattern_by_steps, pattern)
 
