@@ -557,13 +557,9 @@ def serialize(pm: ProcessModel) -> str:
 
 # --- XML parser ---------------------------------------------------------------
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _tag(el: ET.Element) -> str:
     """Local name of an element's tag; one lookup for a BPMN element."""
-    return _BPMN_TAGS.get(el.tag) or _local(el.tag)
+    return _BPMN_TAGS.get(el.tag) or el.tag.rsplit("}", 1)[-1]
 
 
 def _attr(el: ET.Element, name: str) -> str:
@@ -571,7 +567,7 @@ def _attr(el: ET.Element, name: str) -> str:
     value = el.get(name)
     if value is not None:
         return value
-    qualified = "}" + name  # no key equals name, so this is _local(key) == name
+    qualified = "}" + name  # no key is the bare name, so one with this local name ends in '}name'
     for key, value in el.items():
         if key.endswith(qualified):
             return value
