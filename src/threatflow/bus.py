@@ -276,7 +276,7 @@ class Broker:
         self._lock = threading.Lock()
         self._subscribers: dict[str, set[str]] = {}  # topic pattern -> subscriber ids
         self._queues: dict[str, _SubscriberQueue] = {}
-        self._held: dict[str, int] = {}  # subscriber id -> patterns it holds, while any
+        self._held: dict[str, set[str]] = {}  # subscriber id -> patterns it holds, while any
         self._last_seq: dict[str, int] = {}  # publisher id -> highest seq accepted
         self.queue_capacity = queue_capacity
 
@@ -287,9 +287,8 @@ class Broker:
             raise ValidationError("empty subscriberId")
         with self._lock:
             sids = self._subscribers.setdefault(sub.topic_pattern, set())
-            if sub.subscriber_id not in sids:  # idempotent
-                sids.add(sub.subscriber_id)
-                self._held[sub.subscriber_id] = self._held.get(sub.subscriber_id, 0) + 1
+            sids.add(sub.subscriber_id)  # idempotent
+            self._held.setdefault(sub.subscriber_id, set()).add(sub.topic_pattern)
             if queue is not None:
                 self._queues[sub.subscriber_id] = queue
             elif sub.subscriber_id not in self._queues:
@@ -306,13 +305,10 @@ class Broker:
                     handle.subscriber_id, handle.topic_pattern,
                 )
                 return
-            sids.discard(handle.subscriber_id)
-            if not sids:
-                del self._subscribers[handle.topic_pattern]
-            held = self._held[handle.subscriber_id] - 1
-            if held:
-                self._held[handle.subscriber_id] = held
-            else:  # forget the id, unless its queue holds items still to be drained
+            self._drop(handle.subscriber_id, handle.topic_pattern)
+            held = self._held[handle.subscriber_id]
+            held.discard(handle.topic_pattern)
+            if not held:  # forget the id, unless its queue holds items still to be drained
                 del self._held[handle.subscriber_id]
                 if not len(self._queues[handle.subscriber_id]):
                     del self._queues[handle.subscriber_id]
@@ -322,11 +318,15 @@ class Broker:
         with self._lock:
             if self._queues.get(subscriber_id) is queue:
                 del self._queues[subscriber_id]
-                self._held.pop(subscriber_id, None)
-                for pattern, sids in list(self._subscribers.items()):  # scans every pattern
-                    sids.discard(subscriber_id)
-                    if not sids:
-                        del self._subscribers[pattern]
+                for pattern in self._held.pop(subscriber_id, ()):
+                    self._drop(subscriber_id, pattern)
+
+    def _drop(self, subscriber_id: str, pattern: str) -> None:
+        """Take the id off the pattern's entry, and the entry once empty; under _lock."""
+        sids = self._subscribers[pattern]
+        sids.discard(subscriber_id)
+        if not sids:
+            del self._subscribers[pattern]
 
     def publish(self, n: Notification) -> int:
         """Deliveries made: 0 for a seq at or below its publisher's last one."""
@@ -343,11 +343,20 @@ class Broker:
         return len(matched)
 
     def poll(self, subscriber_id: str, timeout: float | None = 0.0) -> Notification | None:
+        """The id's oldest item. Handing out the last item of an id that holds
+        no pattern any more forgets the id."""
         with self._lock:
             queue = self._queues.get(subscriber_id)
         if queue is None:
             return None
-        return queue.poll(timeout)
+        n = queue.poll(timeout)
+        # unsubscribe takes the id out of _held before it reads the queue's length,
+        # so whichever of the two runs last sees the queue empty and forgets the id
+        if n is not None and subscriber_id not in self._held:
+            with self._lock:
+                if subscriber_id not in self._held and self._queues.get(subscriber_id) is queue and not len(queue):
+                    del self._queues[subscriber_id]
+        return n
 
     def pending(self, subscriber_id: str) -> int:
         with self._lock:

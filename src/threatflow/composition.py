@@ -22,7 +22,7 @@ import json
 import math
 import re
 import threading
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, replace
 
 from . import bpmn
@@ -153,17 +153,25 @@ class Verdict:
 
 class ThreatState:
     """Latest (component, threat) probability levels, newest timestamp wins;
-    stale updates (older timestamp for a known key) are ignored."""
+    stale updates (older timestamp for a known key) are ignored. Levels are
+    kept only for the threat ids given at construction, the ones a service's
+    rules name; an update for any other id is dropped and counted in
+    `unknown_threats`, so a publisher inventing ids cannot grow the state."""
 
-    def __init__(self) -> None:
+    def __init__(self, threat_ids: Iterable[str]) -> None:
         self._lock = threading.Lock()
         self._levels: dict[tuple[str, str], tuple[float, float]] = {}
+        self._threat_ids = frozenset(threat_ids)
+        self.unknown_threats = 0
 
     def update(self, component_id: str, threat_id: str, probability: float, timestamp: float) -> bool:
         if not 0.0 <= probability <= 1.0:
             raise ValidationError(f"probability {probability} outside [0,1]")
         key = (component_id, threat_id)
         with self._lock:
+            if threat_id not in self._threat_ids:
+                self.unknown_threats += 1
+                return False
             current = self._levels.get(key)
             if current is not None and timestamp < current[1]:
                 return False

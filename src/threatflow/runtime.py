@@ -12,9 +12,22 @@ service keeps its in-progress instances in an index of their own, so
 finished instances cost nothing. A plan switch rebinds only the tasks whose
 component changed.
 
+What a service remembers is bounded. One store per service holds the
+newest EVENT_CAPACITY events; `event_log`, each instance's `event_log` and
+`merged_log()` are read-only views of it, so they show the newest events
+only. `instances` holds every live instance and the newest
+FINISHED_RETENTION finished ones; an older finished instance is dropped and
+its outcome counted in `evicted_outcomes`. The threat state keeps levels
+only for the threat ids the service's ThreatLevelChange rules name and
+counts other alerts in its `unknown_threats`, so a flag that act_recompose
+raises for a threat id no rule names is never lowered by an alert: it
+stays, as a manual flag does.
+
 All public entry points of one DeployedService serialize on a single lock:
 notification handling is FIFO and rule evaluation race-free. Separate
-services are independent.
+services are independent. At-most-once delivery per (publisher, seq) is the
+broker's: a notification handed to `on_notification` directly, not through
+the broker, is handled again for a (publisher, seq) it has already seen.
 """
 
 from __future__ import annotations
@@ -23,7 +36,8 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -58,6 +72,12 @@ from .rules import (
 )
 
 
+# the newest events a service keeps, as many as a bus queue holds
+EVENT_CAPACITY = 4096
+# finished instances kept in DeployedService.instances beside the live ones
+FINISHED_RETENTION = 1024
+
+
 class EventKind(Enum):
     TASK_STARTED = "taskStarted"
     TASK_COMPLETED = "taskCompleted"
@@ -80,6 +100,38 @@ class ExecutionEvent(NamedTuple):
 
     def to_record(self) -> dict:
         return {"seq": self.seq, "kind": self.kind.value, "detail": dict(self.detail), "at": self.at}
+
+
+class EventView(Sequence):
+    """Read-only list view of one service's event store, oldest first: the
+    events of one instance, whose detail names it under "instance", or with
+    None the service's own, whose detail names none. Each read copies the
+    matching events under the service lock, so indices hold only while no
+    event is logged in between."""
+
+    __slots__ = ("_store", "_lock", "_tag")
+
+    def __init__(self, store: deque, lock, tag: str | None):
+        self._store = store
+        self._lock = lock
+        self._tag = tag
+
+    def _events(self) -> list[ExecutionEvent]:
+        tag = self._tag
+        with self._lock:
+            return [e for e in self._store if e.detail.get("instance") == tag]
+
+    def __len__(self) -> int:
+        return len(self._events())
+
+    def __getitem__(self, index):
+        return self._events()[index]
+
+    def __iter__(self):
+        return iter(self._events())
+
+    def __reversed__(self):
+        return reversed(self._events())
 
 
 class Outcome(Enum):
@@ -122,6 +174,7 @@ class ProcessInstance:
         variables: dict,
         task_ids: list[str],
         start_node: str,
+        event_log: EventView,
     ):
         self.instance_id = instance_id
         self.plan_id = plan_id
@@ -130,7 +183,7 @@ class ProcessInstance:
         self.outcome = Outcome.IN_PROGRESS
         self.report: dict | None = None
         self.error: str | None = None
-        self.event_log: list[ExecutionEvent] = []
+        self.event_log = event_log
         self.task_status: dict[str, TaskStatus] = {tid: TaskStatus.NOT_STARTED for tid in task_ids}
         self._task_ids = task_ids
         self._tokens: deque[str] = deque([start_node])
@@ -169,18 +222,22 @@ class DeployedService:
         self.criteria = criteria
         self._candidates = candidate_table(process, registry, criteria, self.rules)
         self._plan = select_plan(self._candidates, {}, ())  # every plan passes with no threat levels
-        self.threat_state = ThreatState()
+        self.threat_state = ThreatState(
+            r.threat_id for r in self.rules if r.event_type is EventType.THREAT_LEVEL_CHANGE
+        )
         self.status = ServiceStatus.RUNNING
         self.instances: dict[str, ProcessInstance] = {}
         # the in-progress subset of instances, in start order; an instance
-        # leaves it when its outcome leaves IN_PROGRESS
+        # leaves it when its outcome leaves IN_PROGRESS, for the FIFO of
+        # finished ids that `instances` keeps up to FINISHED_RETENTION
         self._live: dict[str, ProcessInstance] = {}
+        self._finished: deque[str] = deque()
+        self.evicted_outcomes: Counter[Outcome] = Counter()
         tasks = process.index.service_tasks
         self._task_ids = [t.id for t in tasks]
         produced = {t.output_var for t in tasks if t.output_var}
         self._required_inputs = sorted({v for t in tasks for v in t.input_vars} - produced)
         self._start_node = process.start_event().id
-        self.event_log: list[ExecutionEvent] = []
         self.subscriptions = subscriptions
         self.aux = aux or {}
         self.broker = broker
@@ -188,6 +245,8 @@ class DeployedService:
         self._clock = clock or time.time
         self._publisher = Publisher(broker, service_id, clock=self._clock)
         self._lock = threading.RLock()
+        # in seq order: _log runs under _lock
+        self._events: deque[ExecutionEvent] = deque(maxlen=EVENT_CAPACITY)
         self._event_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
         # flagged component -> threat id that triggered the flag (None = manual);
@@ -197,18 +256,19 @@ class DeployedService:
 
     # -- observability
 
-    def _log(self, kind: EventKind, detail: dict, instance: ProcessInstance | None = None) -> None:
-        event = ExecutionEvent(next(self._event_counter), kind, detail, self._clock())
-        if instance is not None:
-            instance.event_log.append(event)
-        else:
-            self.event_log.append(event)
+    def _log(self, kind: EventKind, detail: dict) -> None:
+        """An instance's events name it in detail["instance"]; the service's name none."""
+        self._events.append(ExecutionEvent(next(self._event_counter), kind, detail, self._clock()))
+
+    @property
+    def event_log(self) -> EventView:
+        """The service's own events, not any instance's."""
+        return EventView(self._events, self._lock, None)
 
     def merged_log(self) -> list[ExecutionEvent]:
-        events = list(self.event_log)
-        for inst in self.instances.values():
-            events.extend(inst.event_log)
-        return sorted(events, key=lambda e: e.seq)
+        """Every event the store still holds, service and instances, in seq order."""
+        with self._lock:
+            return list(self._events)
 
     # -- plan helpers
 
@@ -250,6 +310,7 @@ class DeployedService:
                 variables=dict(variables),
                 task_ids=self._task_ids,
                 start_node=self._start_node,
+                event_log=EventView(self._events, self._lock, instance_id),
             )
             self.instances[instance_id] = inst
             self._live[instance_id] = inst
@@ -268,7 +329,7 @@ class DeployedService:
                 if inst.steps >= budget:
                     inst.outcome = Outcome.FAILED
                     inst.error = f"step budget of {budget} exhausted"
-                    del self._live[instance_id]
+                    self._retire(instance_id)
                     break
                 self.step(instance_id)
             return inst
@@ -308,8 +369,16 @@ class DeployedService:
 
             self._maybe_finalize(inst)
             if inst.outcome is not Outcome.IN_PROGRESS:
-                del self._live[instance_id]
+                self._retire(instance_id)
             return inst
+
+    def _retire(self, instance_id: str) -> None:
+        """A finished instance leaves _live; past FINISHED_RETENTION the oldest
+        finished one leaves `instances`, and only its outcome is counted."""
+        del self._live[instance_id]
+        self._finished.append(instance_id)
+        if len(self._finished) > FINISHED_RETENTION:
+            self.evicted_outcomes[self.instances.pop(self._finished.popleft()).outcome] += 1
 
     def _forward(self, inst: ProcessInstance, node_id: str) -> None:
         inst._tokens.extend(self.process.index.successors[node_id])
@@ -322,7 +391,6 @@ class DeployedService:
             self._log(
                 EventKind.TASK_STARTED,
                 {"task": task.id, "component": comp_id, "instance": inst.instance_id},
-                inst,
             )
             delay = self.invoker.delay_steps(comp_id, task.operation_ref)
             if delay > 0:
@@ -356,7 +424,6 @@ class DeployedService:
                     "handled": False,
                     "error": inst.error,
                 },
-                inst,
             )
             inst._tokens.clear()
             return
@@ -372,7 +439,6 @@ class DeployedService:
         self._log(
             EventKind.TASK_COMPLETED,
             {"task": task.id, "component": comp_id, "instance": inst.instance_id},
-            inst,
         )
         self._forward(inst, task.id)
 
@@ -394,7 +460,6 @@ class DeployedService:
                 "errorId": fault.error_id,
                 "handled": handled,
             },
-            inst,
         )
         if not handled:
             inst.outcome = Outcome.FAILED
@@ -413,7 +478,6 @@ class DeployedService:
                 "handler": boundary.handler_target,
                 "instance": inst.instance_id,
             },
-            inst,
         )
         inst._tokens.append(boundary.handler_target)
 
@@ -530,7 +594,7 @@ class DeployedService:
             inst.outcome = Outcome.STOPPED_BY_RULE
             inst._tokens.clear()
             stopped.append(inst.instance_id)
-        self._live.clear()
+            self._retire(inst.instance_id)
         self.status = ServiceStatus.STOPPED
         if log_event:
             self._log(

@@ -648,3 +648,36 @@ def test_unsubscribing_the_last_pattern_keeps_pending_items_drainable():
     assert broker.poll("sre").seq == 1 and broker.poll("sre") is None
     broker.subscribe(Subscription("sre", "threat-level-change.mapA"))
     assert broker.publish(notification(seq=3)) == 1 and broker.poll("sre").seq == 3
+
+
+def test_release_touches_only_the_patterns_the_id_holds():
+    class NoScan(dict):
+        def _scan(self, *args):
+            raise AssertionError("release scanned the whole pattern index")
+
+        items = keys = values = __iter__ = _scan
+
+    broker = Broker()
+    for i in range(200):
+        broker.subscribe(Subscription(f"bystander-{i}", f"threat-level-change.c{i}"))
+    outbox = bus._SubscriberQueue(8)
+    for pattern in ("threat-level-change.mapA", "threat-level-change.*", "threat-level-change.c7"):
+        broker.subscribe(Subscription("conn", pattern), queue=outbox)
+    broker._subscribers = NoScan(broker._subscribers)
+    broker.release("conn", outbox)
+    assert not broker.has_subscription("conn", "threat-level-change.c7")
+    assert broker.has_subscription("bystander-7", "threat-level-change.c7")
+    assert "threat-level-change.mapA" not in broker._subscribers
+    assert "conn" not in broker._queues and "conn" not in broker._held
+    assert broker.publish(notification(subject="c7")) == 1
+
+
+def test_draining_an_unsubscribed_id_forgets_it():
+    broker = Broker()
+    for i in range(1000):
+        handle = broker.subscribe(Subscription(f"id-{i}", "threat-level-change.mapA"))
+        assert broker.publish(notification(seq=i + 1)) == 1
+        broker.unsubscribe(handle)
+        assert broker.poll(f"id-{i}").seq == i + 1
+        assert broker.poll(f"id-{i}") is None
+    assert broker._queues == {} and broker._held == {} and broker._subscribers == {}

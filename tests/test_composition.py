@@ -205,12 +205,14 @@ def test_verify_ignores_other_threats_and_unbound_tasks():
 
 
 def test_threat_state_keeps_latest_and_ignores_stale():
-    state = ThreatState()
+    state = ThreatState(["T-DOS"])
     assert state.update("c1", "T-DOS", 0.4, timestamp=10.0)
     assert not state.update("c1", "T-DOS", 0.9, timestamp=5.0)  # older, ignored
     assert state.level("c1", "T-DOS") == 0.4
     assert state.update("c1", "T-DOS", 0.7, timestamp=11.0)
+    assert not state.update("c1", "T-NEW", 0.9, timestamp=12.0)  # an id it was not built with
     assert state.snapshot() == {("c1", "T-DOS"): 0.7}
+    assert state.unknown_threats == 1
 
 
 def test_registry_file_roundtrip():

@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -105,18 +107,17 @@ def tlc_rule(rule_id="r1", task="t1", threat="T-DOS", action=ActionKind.RECOMPOS
     )
 
 
-def make_service(pm=None, counts=None, rules=(), invoker=None, service_id="svc", aux=None):
+def make_service(pm=None, counts=None, rules=(), invoker=None, service_id="svc", aux=None, broker=None):
     pm = pm or linear_model()
-    broker = Broker()
     svc = deploy(
         pm,
         registry_for(pm, counts),
         rules=list(rules),
         criteria=CRITERIA,
-        broker=broker,
+        broker=broker or Broker(),
         invoker=invoker or ScriptedInvoker(),
         service_id=service_id,
-        clock=iter(range(1, 10_000)).__next__,
+        clock=itertools.count(1).__next__,
         aux=aux,
     )
     return svc
@@ -658,3 +659,84 @@ def test_parse_deploy_serialize_checks_the_graph_once(monkeypatch):
     deploy(pm, registry_for(pm), rules=[], criteria=CRITERIA, broker=Broker(), invoker=ScriptedInvoker())
     assert bpmn.serialize(pm) == doc
     assert calls == [pm]
+
+
+def test_threat_ids_no_rule_names_leave_the_threat_state_alone():
+    svc = make_service(counts={"t1": 2}, rules=[tlc_rule()])
+    watched = svc.active_plan().binding_for("t1")
+    svc.on_notification(threat_notification(watched, 0.3, seq=1))
+    before = svc.threat_state.snapshot()
+    for seq in range(2, 10_002):
+        svc.on_notification(threat_notification(watched, 0.9, seq=seq, threat=f"T-NEW-{seq}"))
+    assert svc.threat_state.snapshot() == before == {(watched, "T-DOS"): 0.3}
+    assert svc.threat_state.unknown_threats == 10_000
+    assert svc.active_plan().binding_for("t1") == watched
+
+
+def test_flag_for_a_threat_no_rule_names_is_kept_like_a_manual_flag():
+    # no level is stored for such a threat, so no alert can lower it: the
+    # flag stays until the service is redeployed, as a manual flag does
+    svc = make_service(counts={"t1": 2}, rules=[tlc_rule()])
+    first = svc.active_plan().binding_for("t1")
+    second = svc.act_recompose(first, threat_id="T-UNRULED").new_plan_id
+    assert first not in svc.active_plan().component_ids()
+    svc.on_notification(threat_notification(first, 0.0, seq=1, threat="T-UNRULED"))
+    assert svc.threat_state.unknown_threats == 1
+    # a recompose away from the second component prunes only flags it can
+    # read a level for, so with the first still flagged no plan is left
+    svc.on_notification(threat_notification(svc.active_plan().binding_for("t1"), 0.9, seq=2))
+    assert svc.active_plan_id == second
+    assert svc.status is ServiceStatus.STOPPED
+
+
+def test_direct_calls_bypass_at_most_once_and_the_broker_does_not():
+    broker = Broker()
+    svc = make_service(counts={"t1": 2}, rules=[tlc_rule(action=ActionKind.NOTIFY)], broker=broker)
+    watched = svc.active_plan().binding_for("t1")
+    alert = threat_notification(watched, 0.9, seq=7)
+    assert len(svc.on_notification(alert)) == 1
+    assert len(svc.on_notification(alert)) == 1  # handled again
+    assert broker.publish(alert) == 1
+    assert broker.publish(alert) == 0  # dropped: seq 7 of monitor-1 was accepted
+    assert svc.drain_notifications() == 1
+
+
+class _FaultOnBadSeed(runtime.ComponentInvoker):
+    def invoke(self, component_id, operation_ref, inputs):
+        if str(inputs.get("seed", "")).startswith("bad"):
+            raise ComponentFault("T-OTHER")
+        return f"out-{component_id}"
+
+
+def test_soak_keeps_the_event_store_and_finished_instances_bounded():
+    broker = Broker()
+    svc = make_service(counts={"t1": 2}, rules=[tlc_rule()], invoker=_FaultOnBadSeed(), broker=broker)
+    monitor = Publisher(broker, "monitor-1", clock=itertools.count(1).__next__)
+    live = [svc.start_instance({"seed": f"live-{i}"}, run=False) for i in range(5)]
+    ran = Counter()
+    for k in range(10_000):  # 20,000 alerts: each high one switches the plan away
+        flagged = svc.active_plan().binding_for("t1")
+        for probability in (0.9, 0.1):
+            monitor.publish(EventType.THREAT_LEVEL_CHANGE, flagged, probability=probability, threat_id="T-DOS")
+            assert svc.drain_notifications() == 1
+        assert svc.active_plan().binding_for("t1") != flagged
+        if k % 10 < 3:  # 3,000 runs, one in seven of them faulting
+            n = sum(ran.values())
+            newest = svc.start_instance({"seed": f"{'bad' if n % 7 == 0 else 'ok'}-{n}"})
+            ran[svc.instances[newest].outcome] += 1
+    assert svc.status is ServiceStatus.RUNNING
+    assert sum(ran.values()) == 3_000 and ran[Outcome.FAILED] == 429
+
+    assert len(svc.merged_log()) == runtime.EVENT_CAPACITY
+    assert len(svc.instances) == runtime.FINISHED_RETENTION + len(live)
+    retained = Counter(inst.outcome for inst in svc.instances.values())
+    assert retained + svc.evicted_outcomes == ran + Counter({Outcome.IN_PROGRESS: len(live)})
+    plan = dict(svc.active_plan().bindings)
+    for iid in live:
+        inst = svc.instances[iid]
+        assert inst.outcome is Outcome.IN_PROGRESS and inst.bindings == plan
+    newest = svc.instances[newest]
+    assert newest.report == {"seed": newest.variables["seed"], "v1": f"out-{newest.bindings['t1']}",
+                             "v2": "out-t2-c1"}
+    assert [e.kind for e in newest.event_log][-1] is EventKind.TASK_COMPLETED
+    assert svc.event_log[-1].seq == svc.merged_log()[-1].seq
