@@ -722,8 +722,8 @@ def test_soak_keeps_the_event_store_and_finished_instances_bounded():
         assert svc.active_plan().binding_for("t1") != flagged
         if k % 10 < 3:  # 3,000 runs, one in seven of them faulting
             n = sum(ran.values())
-            newest = svc.start_instance({"seed": f"{'bad' if n % 7 == 0 else 'ok'}-{n}"})
-            ran[svc.instances[newest].outcome] += 1
+            newest_id = svc.start_instance({"seed": f"{'bad' if n % 7 == 0 else 'ok'}-{n}"})
+            ran[svc.instances[newest_id].outcome] += 1
     assert svc.status is ServiceStatus.RUNNING
     assert sum(ran.values()) == 3_000 and ran[Outcome.FAILED] == 429
 
@@ -735,7 +735,8 @@ def test_soak_keeps_the_event_store_and_finished_instances_bounded():
     for iid in live:
         inst = svc.instances[iid]
         assert inst.outcome is Outcome.IN_PROGRESS and inst.bindings == plan
-    newest = svc.instances[newest]
+    newest = svc.instances[newest_id]
+    assert newest.outcome is Outcome.COMPLETED
     assert newest.report == {"seed": newest.variables["seed"], "v1": f"out-{newest.bindings['t1']}",
                              "v2": "out-t2-c1"}
     assert [e.kind for e in newest.event_log][-1] is EventKind.TASK_COMPLETED
