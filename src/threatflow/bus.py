@@ -211,13 +211,14 @@ def topic_matches(pattern: str, topic: str) -> bool:
 
 
 class _SubscriberQueue:
-    """Bounded FIFO handoff between the broker and one subscriber. An offer
-    wakes a poller only while one waits, so a publish to a queue nobody
-    blocks on costs one lock and one append."""
+    """Bounded FIFO handoff between the broker and one subscriber, or between
+    a client's reader and its caller. An offer wakes a poller only while one
+    waits, so a publish to a queue nobody blocks on costs one lock and one
+    append."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._items: deque[Notification] = deque()
+        self._items: deque = deque()  # notifications, or a client's ACKCOUNT records
         # an RLock: a Condition over a plain Lock costs several times as much
         # to build, and a broker builds one queue per subscriber id
         self._lock = threading.RLock()
@@ -226,17 +227,17 @@ class _SubscriberQueue:
         self._closed = False
         self.drops = 0
 
-    def offer(self, n: Notification) -> None:
+    def offer(self, item) -> None:
         with self._lock:
             if len(self._items) >= self.capacity:
                 self._items.popleft()
                 self.drops += 1
-            self._items.append(n)
+            self._items.append(item)
             if self._waiting:
                 self._cond.notify()
 
-    def poll(self, timeout: float | None = 0.0) -> Notification | None:
-        """Oldest item; waits up to `timeout` s, or for an item or close() if None."""
+    def poll(self, timeout: float | None = 0.0):
+        """Oldest item, or None; waits up to `timeout` s, or for an item or close() if None."""
         with self._lock:
             if not self._items and timeout != 0:
                 self._waiting += 1
@@ -555,8 +556,9 @@ def _subscription_fields(rec: dict) -> tuple[str, str]:
 
 
 class BusClient:
-    """Line-protocol client. Received MSG records queue up for receive();
-    ACKCOUNT replies pair with the publish() that triggered them."""
+    """Line-protocol client. Received MSG records queue up for receive() and
+    ACKCOUNT replies pair FIFO with the publish() that triggered them, each in
+    a bounded queue like a broker's: a full inbox drops its oldest record."""
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._timeout = timeout
@@ -566,10 +568,8 @@ class BusClient:
             raise BusError(f"cannot reach bus at {host}:{port}: {exc}")
         self._reader = self._sock.makefile("rb")
         self._write_lock = threading.Lock()
-        self._acks: deque[dict] = deque()
-        self._msgs: deque[Notification] = deque()
-        self._cond = threading.Condition()
-        self._closed = threading.Event()
+        self._acks = _SubscriberQueue(DEFAULT_QUEUE_CAPACITY)
+        self._msgs = _SubscriberQueue(DEFAULT_QUEUE_CAPACITY)
         self._reader_thread = threading.Thread(target=self._read_loop, daemon=True)
         self._reader_thread.start()
 
@@ -591,22 +591,19 @@ class BusClient:
                 except BusError as exc:
                     log.warning("dropping wire record: %s", exc)
                     continue
-                with self._cond:
-                    if rec.get("op") == "MSG":
-                        try:
-                            self._msgs.append(Notification.from_record(rec))
-                        except ValidationError as exc:
-                            log.warning("dropping malformed MSG from broker: %s", exc)
-                    else:
-                        self._acks.append(rec)
-                    self._cond.notify_all()
+                if rec.get("op") == "MSG":
+                    try:
+                        self._msgs.offer(Notification.from_record(rec))
+                    except ValidationError as exc:
+                        log.warning("dropping malformed MSG from broker: %s", exc)
+                else:
+                    self._acks.offer(rec)
         except (OSError, ValueError):
             pass
         finally:
             self._reader.close()
-            self._closed.set()
-            with self._cond:
-                self._cond.notify_all()
+            self._acks.close()  # wakes any publish() or receive() still waiting
+            self._msgs.close()
 
     def subscribe(self, subscriber_id: str, topic_pattern: str) -> None:
         if not subscriber_id:  # else the server's error reply pairs with the next publish()
@@ -622,24 +619,15 @@ class BusClient:
         rec = n.to_record()
         rec["op"] = "PUB"
         self._send(rec)
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self._acks or self._closed.is_set(), timeout=self._timeout
-            )
-            if not ok or (not self._acks and self._closed.is_set()):
-                raise BusError("no ACKCOUNT reply from broker")
-            ack = self._acks.popleft()
+        ack = self._acks.poll(self._timeout)
+        if ack is None:
+            raise BusError("no ACKCOUNT reply from broker")
         if ack.get("count", -1) < 0:
             raise BusError(ack.get("error", "publish rejected"))
         return ack["count"]
 
     def receive(self, timeout: float = 0.0) -> Notification | None:
-        with self._cond:
-            if not self._msgs and timeout:
-                self._cond.wait_for(lambda: self._msgs or self._closed.is_set(), timeout=timeout)
-            if self._msgs:
-                return self._msgs.popleft()
-            return None
+        return self._msgs.poll(timeout)
 
     def close(self) -> None:
         """Shut the socket and wait for the reader thread, which closes its

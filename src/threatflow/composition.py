@@ -259,6 +259,9 @@ class CandidateTable:
     # one-task scores (best first), and the (threat id, predicate) pairs of the
     # ThreatLevelChange rules whose subject it is
     rows: tuple[tuple[bpmn.ServiceTask, list[tuple[float, ComponentDescriptor]], tuple[tuple[str, Predicate], ...]], ...]
+    # threat id -> the predicates of the ThreatLevelChange rules naming it,
+    # None for a rule with no threshold
+    thresholds: dict[str, list[Predicate | None]]
 
 
 def candidate_table(
@@ -276,9 +279,12 @@ def candidate_table(
     tasks = pm.index.service_tasks
     max_mean_cost = _mean([max(c.cost for c in reg.candidates(t.id)) for t in tasks])
     checks: dict[str, list[tuple[str, Predicate]]] = {}
+    thresholds: dict[str, list[Predicate | None]] = {}
     for r in rules:
-        if r.event_type is EventType.THREAT_LEVEL_CHANGE and r.predicate is not None and r.threat_id is not None:
-            checks.setdefault(r.subject_task_id, []).append((r.threat_id, r.predicate))
+        if r.event_type is EventType.THREAT_LEVEL_CHANGE and r.threat_id is not None:
+            thresholds.setdefault(r.threat_id, []).append(r.predicate)
+            if r.predicate is not None:
+                checks.setdefault(r.subject_task_id, []).append((r.threat_id, r.predicate))
     w_trust, w_qos, w_cost = criteria.w_trust, criteria.w_qos, criteria.w_cost
     weight = w_trust + w_qos + w_cost
 
@@ -291,7 +297,7 @@ def candidate_table(
         scored = [(one_task_score(c), c) for c in reg.candidates(task.id)]
         scored.sort(key=lambda sc: sc[0], reverse=True)
         rows.append((task, scored, tuple(checks.get(task.id, ()))))
-    return CandidateTable(pm, criteria, max_mean_cost, tuple(rows))
+    return CandidateTable(pm, criteria, max_mean_cost, tuple(rows), thresholds)
 
 
 def select_plan(

@@ -14,8 +14,9 @@ component changed.
 
 What a service remembers is bounded. One store per service holds the
 newest EVENT_CAPACITY events; `event_log`, each instance's `event_log` and
-`merged_log()` are read-only views of it, so they show the newest events
-only. `instances` holds every live instance and the newest
+`merged_log()` each return a new list of the events it still holds, so they
+show the newest events only, and a list taken earlier does not grow with
+later events. `instances` holds every live instance and the newest
 FINISHED_RETENTION finished ones; an older finished instance is dropped and
 its outcome counted in `evicted_outcomes`. The threat state keeps levels
 only for the threat ids the service's ThreatLevelChange rules name and
@@ -37,7 +38,6 @@ import json
 import threading
 import time
 from collections import Counter, deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -102,38 +102,6 @@ class ExecutionEvent(NamedTuple):
         return {"seq": self.seq, "kind": self.kind.value, "detail": dict(self.detail), "at": self.at}
 
 
-class EventView(Sequence):
-    """Read-only list view of one service's event store, oldest first: the
-    events of one instance, whose detail names it under "instance", or with
-    None the service's own, whose detail names none. Each read copies the
-    matching events under the service lock, so indices hold only while no
-    event is logged in between."""
-
-    __slots__ = ("_store", "_lock", "_tag")
-
-    def __init__(self, store: deque, lock, tag: str | None):
-        self._store = store
-        self._lock = lock
-        self._tag = tag
-
-    def _events(self) -> list[ExecutionEvent]:
-        tag = self._tag
-        with self._lock:
-            return [e for e in self._store if e.detail.get("instance") == tag]
-
-    def __len__(self) -> int:
-        return len(self._events())
-
-    def __getitem__(self, index):
-        return self._events()[index]
-
-    def __iter__(self):
-        return iter(self._events())
-
-    def __reversed__(self):
-        return reversed(self._events())
-
-
 class Outcome(Enum):
     IN_PROGRESS = "inProgress"
     COMPLETED = "completed"
@@ -174,7 +142,7 @@ class ProcessInstance:
         variables: dict,
         task_ids: list[str],
         start_node: str,
-        event_log: EventView,
+        service: "DeployedService",
     ):
         self.instance_id = instance_id
         self.plan_id = plan_id
@@ -183,7 +151,7 @@ class ProcessInstance:
         self.outcome = Outcome.IN_PROGRESS
         self.report: dict | None = None
         self.error: str | None = None
-        self.event_log = event_log
+        self._service = service
         self.task_status: dict[str, TaskStatus] = {tid: TaskStatus.NOT_STARTED for tid in task_ids}
         self._task_ids = task_ids
         self._tokens: deque[str] = deque([start_node])
@@ -191,6 +159,12 @@ class ProcessInstance:
         self._delay_left: dict[str, int] = {}
         self._end_reached = False
         self.steps = 0
+
+    @property
+    def event_log(self) -> list[ExecutionEvent]:
+        """This instance's events that its service's store still holds, oldest
+        first, as a new list on each read."""
+        return self._service._events_of(self.instance_id)
 
     def position(self) -> InstancePosition:
         return InstancePosition(
@@ -222,9 +196,7 @@ class DeployedService:
         self.criteria = criteria
         self._candidates = candidate_table(process, registry, criteria, self.rules)
         self._plan = select_plan(self._candidates, {}, ())  # every plan passes with no threat levels
-        self.threat_state = ThreatState(
-            r.threat_id for r in self.rules if r.event_type is EventType.THREAT_LEVEL_CHANGE
-        )
+        self.threat_state = ThreatState(self._candidates.thresholds)
         self.status = ServiceStatus.RUNNING
         self.instances: dict[str, ProcessInstance] = {}
         # the in-progress subset of instances, in start order; an instance
@@ -261,9 +233,15 @@ class DeployedService:
         self._events.append(ExecutionEvent(next(self._event_counter), kind, detail, self._clock()))
 
     @property
-    def event_log(self) -> EventView:
-        """The service's own events, not any instance's."""
-        return EventView(self._events, self._lock, None)
+    def event_log(self) -> list[ExecutionEvent]:
+        """The service's own events, not any instance's, as a new list on each read."""
+        return self._events_of(None)
+
+    def _events_of(self, instance_id: str | None) -> list[ExecutionEvent]:
+        """The stored events whose detail names `instance_id` under "instance"
+        (none for the service's own), oldest first."""
+        with self._lock:
+            return [e for e in self._events if e.detail.get("instance") == instance_id]
 
     def merged_log(self) -> list[ExecutionEvent]:
         """Every event the store still holds, service and instances, in seq order."""
@@ -310,7 +288,7 @@ class DeployedService:
                 variables=dict(variables),
                 task_ids=self._task_ids,
                 start_node=self._start_node,
-                event_log=EventView(self._events, self._lock, instance_id),
+                service=self,
             )
             self.instances[instance_id] = inst
             self._live[instance_id] = inst
@@ -576,7 +554,10 @@ class DeployedService:
         if kind is ActionKind.LAUNCH_PROCESS:
             ref = rule.action.param("processRef") or ""
             launched = self.act_launch(ref, {})
-            outcome = f"started:{launched}" if launched else "unknownProcessRef"
+            if launched:
+                outcome = f"started:{launched}"
+            else:
+                outcome = "refused" if ref in self.aux else "unknownProcessRef"
             return {"rule": rule.rule_id, "action": "launchProcess", "outcome": outcome}
         message = rule.action.param("message") or ""
         self.act_notify(message)
@@ -586,9 +567,14 @@ class DeployedService:
 
     def act_stop(self, reason: str = "requested") -> None:
         with self._lock:
-            self._stop_internal(reason, log_event=True)
+            stopped = self._stop_internal()
+            self._log(
+                EventKind.ACTION_TAKEN,
+                {"action": "stop", "reason": reason, "stoppedInstances": ",".join(stopped)},
+            )
 
-    def _stop_internal(self, reason: str, log_event: bool) -> list[str]:
+    def _stop_internal(self) -> list[str]:
+        """Stop every live instance and the service; the ids stopped."""
         stopped = []
         for inst in self.live_instances():
             inst.outcome = Outcome.STOPPED_BY_RULE
@@ -596,11 +582,6 @@ class DeployedService:
             stopped.append(inst.instance_id)
             self._retire(inst.instance_id)
         self.status = ServiceStatus.STOPPED
-        if log_event:
-            self._log(
-                EventKind.ACTION_TAKEN,
-                {"action": "stop", "reason": reason, "stoppedInstances": ",".join(stopped)},
-            )
         return stopped
 
     def act_recompose(self, flagged_component_id: str, threat_id: str | None = None) -> RecomposeResult:
@@ -641,7 +622,7 @@ class DeployedService:
                 )
                 return RecomposeResult(switched=True, new_plan_id=plan.plan_id)
 
-            stopped = self._stop_internal("no composition plan passes verification", log_event=False)
+            stopped = self._stop_internal()
             self._log(
                 EventKind.ACTION_TAKEN,
                 {
@@ -660,21 +641,17 @@ class DeployedService:
 
     def _prune_flags(self, levels: dict[tuple[str, str], float], keep: str) -> None:
         """A flagged pair re-enters ranking once a lower level arrives that no
-        longer satisfies any rule threshold; manual flags (no threat) stay."""
+        longer satisfies any threshold of a ThreatLevelChange rule naming its
+        threat. A rule with no threshold matches any level, so a flag raised
+        for its threat stays, as does a manual flag (no threat)."""
+        thresholds = self._candidates.thresholds
         for comp_id, threat_id in list(self._flagged.items()):
             if comp_id == keep or threat_id is None:
                 continue
             level = levels.get((comp_id, threat_id))
             if level is None:
                 continue
-            escalated = any(
-                r.predicate.satisfied_by(level)
-                for r in self.rules
-                if r.event_type is EventType.THREAT_LEVEL_CHANGE
-                and r.threat_id == threat_id
-                and r.predicate is not None
-            )
-            if not escalated:
+            if not any(p is None or p.satisfied_by(level) for p in thresholds[threat_id]):
                 del self._flagged[comp_id]
 
     def _adopt_bindings(self, plan_id: str, changed: list[tuple[str, str]]) -> list[str]:
@@ -695,6 +672,8 @@ class DeployedService:
         return adopted
 
     def act_launch(self, process_ref: str, variables: dict | None = None) -> str | None:
+        """The started auxiliary instance's id, or None for an unknown
+        processRef or a start its service refuses; each result is logged."""
         with self._lock:
             target = self.aux.get(process_ref)
             if target is None:
@@ -703,7 +682,14 @@ class DeployedService:
                     {"action": "launchProcess", "processRef": process_ref, "result": "unknownProcessRef"},
                 )
                 return None
-            instance_id = target.start_instance(variables or {})
+            try:
+                instance_id = target.start_instance(variables or {})
+            except (DeploymentError, ValidationError) as exc:  # stopped, or it needs inputs
+                self._log(
+                    EventKind.ACTION_TAKEN,
+                    {"action": "launchProcess", "processRef": process_ref, "result": "refused", "error": str(exc)},
+                )
+                return None
             self._log(
                 EventKind.ACTION_TAKEN,
                 {"action": "launchProcess", "processRef": process_ref, "result": f"started:{instance_id}"},

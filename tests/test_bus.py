@@ -327,6 +327,28 @@ def test_client_reader_survives_malformed_msg():
         server.close()
 
 
+def test_client_inbox_keeps_the_newest_records_like_a_broker_queue():
+    burst = b"".join(
+        (json.dumps(dict(notification(seq=seq).to_record(), op="MSG")) + "\n").encode()
+        for seq in range(1, 5001)
+    )
+
+    def reply(rec):
+        return [burst, {"op": "ACKCOUNT", "count": 1}] if rec["op"] == "PUB" else []
+
+    server = FakeBusServer(reply)
+    client = BusClient("127.0.0.1", server.port, timeout=5.0)
+    try:
+        assert client.publish(notification()) == 1  # the reader has queued the burst before the ack
+        got = []
+        while (n := client.receive()) is not None:
+            got.append(n.seq)
+        assert got == list(range(5001 - bus.DEFAULT_QUEUE_CAPACITY, 5001))
+    finally:
+        client.close()
+        server.close()
+
+
 def test_close_and_stop_end_the_bus_threads():
     server = BusServer().start()
     client = BusClient("127.0.0.1", server.port)

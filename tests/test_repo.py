@@ -136,6 +136,7 @@ def http_repo(tmp_path):
     threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
     yield store, f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def _get(url):
@@ -157,6 +158,7 @@ def test_http_unknown_threat_is_404(http_repo):
     _, base = http_repo
     with pytest.raises(urllib.error.HTTPError) as exc:
         _get(f"{base}/threats/T-GHOST")
+    exc.value.close()  # the error response holds the connection open
     assert exc.value.code == 404
 
 
@@ -169,6 +171,7 @@ def test_http_put_mismatched_id_is_400(http_repo):
     )
     with pytest.raises(urllib.error.HTTPError) as exc:
         urllib.request.urlopen(req, timeout=5)
+    exc.value.close()  # the error response holds the connection open
     assert exc.value.code == 400
 
 
@@ -178,6 +181,7 @@ def test_http_put_conflict_is_409(http_repo):
     req = urllib.request.Request(f"{base}/threats/T-DOS", data=body, method="PUT")
     with pytest.raises(urllib.error.HTTPError) as exc:
         urllib.request.urlopen(req, timeout=5)
+    exc.value.close()  # the error response holds the connection open
     assert exc.value.code == 409
 
 

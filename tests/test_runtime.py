@@ -418,6 +418,16 @@ def test_flag_without_decay_keeps_component_excluded():
     assert svc.status is ServiceStatus.STOPPED
 
 
+def test_flag_raised_by_a_rule_with_no_threshold_is_kept():
+    # the rule matches any level, so no level can lower the flags it raised
+    svc = make_service(counts={"t1": 3}, rules=[replace(tlc_rule(), predicate=None)])
+    svc.on_notification(threat_notification("t1-c1", 0.9, seq=1))
+    assert svc.active_plan().binding_for("t1") == "t1-c2"
+    svc.on_notification(threat_notification("t1-c2", 0.9, seq=2))
+    assert svc.active_plan().binding_for("t1") == "t1-c3"
+    assert svc._flagged.keys() == {"t1-c1", "t1-c2"}
+
+
 def test_launch_action_starts_aux_process():
     aux_pm = linear_model(n_tasks=1, wired=False)
     broker = Broker()
@@ -439,6 +449,30 @@ def test_launch_unknown_process_ref_is_reported_not_fatal():
     actions = svc.on_notification(threat_notification("t1-c1", 0.9))
     assert actions == [{"rule": "r1", "action": "launchProcess", "outcome": "unknownProcessRef"}]
     assert svc.status is ServiceStatus.RUNNING
+
+
+def test_a_refused_launch_is_logged_and_later_alerts_are_still_handled():
+    broker = Broker()
+    aux_pm = linear_model(n_tasks=1)  # its task reads `seed`, which a rule's launch never passes
+    aux_svc = deploy(aux_pm, registry_for(aux_pm), [], CRITERIA, broker,
+                     ScriptedInvoker(), service_id="hardening")
+    rule = tlc_rule(action=ActionKind.LAUNCH_PROCESS, params=(("processRef", "hardening"),))
+    pm = linear_model(wired=False)
+    svc = deploy(pm, registry_for(pm), [rule], CRITERIA, broker, ScriptedInvoker(),
+                 service_id="main", aux={"hardening": aux_svc})
+    pub = Publisher(broker, "monitor-1", clock=iter(range(200, 300)).__next__)
+    for _ in range(2):
+        pub.publish(EventType.THREAT_LEVEL_CHANGE, "t1-c1", probability=0.9, threat_id="T-DOS")
+    assert svc.drain_notifications() == 2
+    assert broker.pending("main") == 0
+    taken = [e.detail for e in svc.event_log if e.kind is EventKind.ACTION_TAKEN]
+    assert [(d["result"], "seed" in d["error"]) for d in taken] == [("refused", True)] * 2
+
+    aux_svc.act_stop()
+    actions = svc.on_notification(threat_notification("t1-c1", 0.9, seq=9))
+    assert actions == [{"rule": "r1", "action": "launchProcess", "outcome": "refused"}]
+    assert "stopped" in svc.event_log[-1].detail["error"]
+    assert aux_svc.instances == {} and svc.status is ServiceStatus.RUNNING
 
 
 def test_drain_notifications_processes_queue_in_order():
