@@ -15,6 +15,14 @@ newline-delimited UTF-8 JSON records with op in {SUB, UNSUB, PUB, MSG,
 ACKCOUNT}. A connection costs one reader thread and, once it SUBs, one
 writer, however many ids it holds; the newest SUB of an id takes it over.
 A malformed record gets an error ACKCOUNT and leaves the connection up.
+
+A queue's offer, and a poll that finds an item or does not wait, take no
+lock; a poll takes one only to wait. Offers to one queue are serialized by
+their caller: the broker offers under its lock, a client from its reader.
+A queue's drop count is exact while nothing polls it at the same moment,
+and may then include one delivered record, never fewer. `BusClient.drops`
+counts what a client's full inbox dropped. A client's socket has no read
+timeout once connected, so an idle client keeps its reader.
 """
 
 from __future__ import annotations
@@ -212,42 +220,70 @@ def topic_matches(pattern: str, topic: str) -> bool:
 
 class _SubscriberQueue:
     """Bounded FIFO handoff between the broker and one subscriber, or between
-    a client's reader and its caller. An offer wakes a poller only while one
-    waits, so a publish to a queue nobody blocks on costs one lock and one
-    append."""
+    a client's reader and its caller.
+
+    An offer or a poll that need not wait takes no lock: the deque's append
+    and popleft are atomic, and an append to a full deque drops its oldest
+    item. Offers to one queue must be serialized by their caller (the broker
+    offers under its lock, a client from its one reader thread), so the
+    fullness check before an append sees no other offer. `drops` is exact
+    while no poll runs at the same moment; a poll that takes the oldest item
+    of a full queue during an offer may add that delivered item to it, so it
+    never under-counts.
+
+    No wake-up is lost: a poller that must wait raises `_waiting` under the
+    lock before its last look for an item, and holds the lock until `wait`
+    releases it. An offer appends before it reads `_waiting`. So either that
+    look finds the item, or the offer sees `_waiting` raised and notifies
+    under the lock, which it gets only once the poller waits."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._items: deque = deque()  # notifications, or a client's ACKCOUNT records
+        self._items: deque = deque(maxlen=capacity)  # notifications, or a client's ACKCOUNT records
         # an RLock: a Condition over a plain Lock costs several times as much
         # to build, and a broker builds one queue per subscriber id
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._waiting = 0  # pollers inside wait_for
+        self._waiting = 0  # pollers inside the waiting loop of poll
         self._closed = False
         self.drops = 0
 
     def offer(self, item) -> None:
-        with self._lock:
-            if len(self._items) >= self.capacity:
-                self._items.popleft()
-                self.drops += 1
-            self._items.append(item)
-            if self._waiting:
+        if len(self._items) == self.capacity:
+            self.drops += 1  # the append drops the oldest item
+        self._items.append(item)
+        if self._waiting:
+            with self._lock:
                 self._cond.notify()
 
-    def poll(self, timeout: float | None = 0.0):
-        """Oldest item, or None; waits up to `timeout` s, or for an item or close() if None."""
-        with self._lock:
-            if not self._items and timeout != 0:
-                self._waiting += 1
-                try:
-                    self._cond.wait_for(lambda: self._items or self._closed, timeout)
-                finally:
-                    self._waiting -= 1
-            if self._items:
+    def _take(self):
+        """Oldest item, or None; another poller may take the last one first."""
+        if self._items:
+            try:
                 return self._items.popleft()
-            return None
+            except IndexError:
+                pass
+        return None
+
+    def poll(self, timeout: float | None = 0.0):
+        """Oldest item, or None; waits up to `timeout` s, or for an item or
+        close() if None. A waiting poll that another poller beats to an item
+        waits on, so poll(None) returns None only after close()."""
+        item = self._take()
+        if item is not None or timeout == 0:
+            return item
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._lock:
+            self._waiting += 1
+            try:
+                while (item := self._take()) is None and not self._closed:
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0:
+                        break
+                    self._cond.wait(remaining)
+            finally:
+                self._waiting -= 1
+        return item
 
     def close(self) -> None:
         """Wake every poll(None); what is queued stays drainable."""
@@ -256,8 +292,7 @@ class _SubscriberQueue:
             self._cond.notify_all()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
 
 @dataclass(frozen=True)
@@ -339,15 +374,14 @@ class Broker:
             # subjects hold no '.' or '*' and patterns are exact or '<head>.*', so only
             # n.topic and '<type>.*' can match; a subscriber holding both gets n once
             matched = self._subscribers.get(n.topic, set()) | self._subscribers.get(f"{n.type.kebab}.*", set())
-            for sid in matched:
+            for sid in matched:  # under the lock, which serializes offers to a queue
                 self._queues[sid].offer(n)
         return len(matched)
 
     def poll(self, subscriber_id: str, timeout: float | None = 0.0) -> Notification | None:
         """The id's oldest item. Handing out the last item of an id that holds
         no pattern any more forgets the id."""
-        with self._lock:
-            queue = self._queues.get(subscriber_id)
+        queue = self._queues.get(subscriber_id)  # one dict read: no lock needed
         if queue is None:
             return None
         n = queue.poll(timeout)
@@ -360,13 +394,11 @@ class Broker:
         return n
 
     def pending(self, subscriber_id: str) -> int:
-        with self._lock:
-            queue = self._queues.get(subscriber_id)
+        queue = self._queues.get(subscriber_id)
         return len(queue) if queue is not None else 0
 
     def drops(self, subscriber_id: str) -> int:
-        with self._lock:
-            queue = self._queues.get(subscriber_id)
+        queue = self._queues.get(subscriber_id)
         return queue.drops if queue is not None else 0
 
     def has_subscription(self, subscriber_id: str, pattern: str) -> bool:
@@ -558,7 +590,9 @@ def _subscription_fields(rec: dict) -> tuple[str, str]:
 class BusClient:
     """Line-protocol client. Received MSG records queue up for receive() and
     ACKCOUNT replies pair FIFO with the publish() that triggered them, each in
-    a bounded queue like a broker's: a full inbox drops its oldest record."""
+    a bounded queue like a broker's: a full inbox drops its oldest record, and
+    `drops` counts them. The socket has no read timeout once connected, so an
+    idle client keeps its reader."""
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._timeout = timeout
@@ -566,6 +600,9 @@ class BusClient:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise BusError(f"cannot reach bus at {host}:{port}: {exc}")
+        # the timeout bounds the connect; kept on the socket, it would end the
+        # reader after `timeout` s of silence. publish() bounds its own wait.
+        self._sock.settimeout(None)
         self._reader = self._sock.makefile("rb")
         self._write_lock = threading.Lock()
         self._acks = _SubscriberQueue(DEFAULT_QUEUE_CAPACITY)
@@ -628,6 +665,11 @@ class BusClient:
 
     def receive(self, timeout: float = 0.0) -> Notification | None:
         return self._msgs.poll(timeout)
+
+    @property
+    def drops(self) -> int:
+        """MSG records the full inbox has dropped, as Broker.drops counts them."""
+        return self._msgs.drops
 
     def close(self) -> None:
         """Shut the socket and wait for the reader thread, which closes its

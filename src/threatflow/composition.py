@@ -17,9 +17,11 @@ builds no plan or verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import re
 import threading
 from collections.abc import Container, Iterable
@@ -210,7 +212,9 @@ def _plan(tasks, combo, rank_score: float) -> CompositionPlan:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    """A left fold from 0, on every Python version: from 3.12 on, sum() of
+    floats is compensated and would round differently."""
+    return functools.reduce(operator.add, values, 0) / len(values) if values else 0.0
 
 
 def _score(comps, criteria: RankingCriteria, max_mean_cost: float) -> float:

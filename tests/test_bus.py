@@ -703,3 +703,122 @@ def test_draining_an_unsubscribed_id_forgets_it():
         assert broker.poll(f"id-{i}").seq == i + 1
         assert broker.poll(f"id-{i}") is None
     assert broker._queues == {} and broker._held == {} and broker._subscribers == {}
+
+
+def test_idle_clients_keep_their_readers_past_the_connect_timeout():
+    server = BusServer().start()
+    monitor = BusClient("127.0.0.1", server.port, timeout=0.3)
+    observer = BusClient("127.0.0.1", server.port, timeout=0.3)
+    try:
+        observer.subscribe("sre-1", "threat-level-change.*")
+        wait_until(lambda: server.broker.has_subscription("sre-1", "threat-level-change.*"),
+                   "subscription never registered")
+        time.sleep(0.6)  # both sockets stay silent for twice their timeout
+        assert monitor.publish(notification()) == 1
+        assert observer.receive(timeout=2.0) == notification()
+        assert monitor._reader_thread.is_alive() and observer._reader_thread.is_alive()
+    finally:
+        monitor.close()
+        observer.close()
+        server.stop()
+
+
+def test_client_drops_counts_what_a_full_inbox_dropped():
+    burst = b"".join(
+        (json.dumps(dict(notification(seq=seq).to_record(), op="MSG")) + "\n").encode()
+        for seq in range(1, 5001)
+    )
+    server = FakeBusServer(lambda rec: [burst, {"op": "ACKCOUNT", "count": 1}] if rec["op"] == "PUB" else [])
+    client = BusClient("127.0.0.1", server.port, timeout=5.0)
+    try:
+        assert client.drops == 0
+        assert client.publish(notification()) == 1  # the reader has queued the burst before the ack
+        assert client.drops == 5000 - bus.DEFAULT_QUEUE_CAPACITY
+        assert client.receive().seq == 5001 - bus.DEFAULT_QUEUE_CAPACITY
+    finally:
+        client.close()
+        server.close()
+
+
+def test_lock_free_queue_under_racing_pollers_duplicates_and_reorders_nothing():
+    queue = bus._SubscriberQueue(8)
+    offered = 200_000
+    offers_done, closing = threading.Event(), threading.Event()
+    waiting_got, instant_got, none_before_close = [], [], []
+
+    def offer_all():
+        for i in range(offered):
+            queue.offer(i)
+        offers_done.set()
+
+    def poll_waiting():
+        while (item := queue.poll(None)) is not None:
+            waiting_got.append(item)
+        none_before_close.append(not closing.is_set())
+
+    def poll_instant():
+        while not offers_done.is_set():
+            if (item := queue.poll(0.0)) is not None:
+                instant_got.append(item)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=f) for f in (poll_waiting, poll_instant, offer_all)]
+        for t in threads:
+            t.start()
+        for t in threads[1:]:
+            t.join(timeout=60)
+        closing.set()
+        queue.close()
+        join_all(threads[:1])
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t for t in threads if t.is_alive()] == []
+    assert none_before_close == [False]  # poll(None) gave None once, and only after close()
+    for got in (waiting_got, instant_got):
+        assert all(a < b for a, b in zip(got, got[1:]))  # FIFO for each poller
+    assert not set(waiting_got) & set(instant_got)
+    received, remaining = len(waiting_got) + len(instant_got), len(queue)
+    assert received + remaining <= offered <= received + remaining + queue.drops
+    assert queue._waiting == 0
+
+
+class CountingLock:
+    """A reentrant lock that counts its acquires."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self.acquires = 0
+
+    def acquire(self, *args):
+        self.acquires += 1
+        return self._lock.acquire(*args)
+
+    def release(self):
+        self._lock.release()
+
+    def _is_owned(self):
+        return self._lock._is_owned()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_offer_and_poll_that_need_not_wait_take_no_lock():
+    broker = Broker()
+    broker.subscribe(Subscription("sre", "threat-level-change.mapA"))
+    queue = broker._queues["sre"]
+    queue._lock = CountingLock()
+    queue._cond = threading.Condition(queue._lock)
+    broker._lock = CountingLock()
+    queue.offer(notification(seq=1))
+    queue.offer(notification(seq=2))
+    assert queue.poll(0.0).seq == 1
+    assert broker.poll("sre").seq == 2
+    assert broker.pending("sre") == 0 and broker.drops("sre") == 0
+    assert (queue._lock.acquires, broker._lock.acquires) == (0, 0)
+    assert queue.poll(0.01) is None  # only a poll that waits takes the queue's lock
+    assert queue._lock.acquires > 0

@@ -437,3 +437,9 @@ def test_select_plan_over_mirror_pairs_matches_the_ranked_plans(excluded):
     if not excluded:
         assert chosen.plan_id == "+".join([f"m{k}!" for k in range(9)] + ["m9"])
 
+
+
+def test_mean_adds_left_to_right_on_every_python():
+    # sum() of floats is compensated from Python 3.12 on and gives 1.0 here
+    assert composition._mean([0.1] * 10) == 0.9999999999999999 / 10
+    assert str(composition._mean([-0.0])) == "0.0" and composition._mean([]) == 0.0
