@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import re
 import socket
 import threading
@@ -39,11 +40,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .errors import BusError, ValidationError
+from .errors import BusError, ValidationError, reading
 
 log = logging.getLogger(__name__)
 
 DEFAULT_QUEUE_CAPACITY = 4096
+_NOTIFICATION_RECORD = reading("notification")  # built once: from_record runs per PUB and per MSG
 
 
 class EventType(Enum):
@@ -129,6 +131,8 @@ class Notification:
                 raise ValidationError("ThreatLevelChange notification without probability")
         if self.seq < 0:
             raise ValidationError(f"seq {self.seq} is negative")
+        if not math.isfinite(self.timestamp):
+            raise ValidationError(f"timestamp {self.timestamp} is not a finite number")
 
     def to_record(self) -> dict:
         rec = {
@@ -152,14 +156,10 @@ class Notification:
     def from_record(cls, rec: dict) -> "Notification":
         """Any record that is not a valid notification raises ValidationError,
         whatever type a field has."""
-        try:
-            etype = EventType(rec["type"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"unknown notification type in record: {exc}")
-        try:
+        with _NOTIFICATION_RECORD:
             payload = rec.get("payload") or {}
             n = cls(
-                type=etype,
+                type=EventType(rec["type"]),
                 topic=rec["topic"],
                 subject_component_id=rec["subjectComponentId"],
                 payload=Payload(
@@ -172,10 +172,6 @@ class Notification:
                 threat_id=rec.get("threatId"),
             )
             n.validate()
-        except KeyError as exc:
-            raise ValidationError(f"notification record missing field {exc}")
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ValidationError(f"malformed notification record: {exc}")
         return n
 
 
@@ -591,8 +587,9 @@ class BusClient:
     """Line-protocol client. Received MSG records queue up for receive() and
     ACKCOUNT replies pair FIFO with the publish() that triggered them, each in
     a bounded queue like a broker's: a full inbox drops its oldest record, and
-    `drops` counts them. The socket has no read timeout once connected, so an
-    idle client keeps its reader."""
+    `drops` counts them. Publishes run one at a time; the reply of one that
+    timed out is dropped by the next. The socket has no read timeout once
+    connected, so an idle client keeps its reader."""
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._timeout = timeout
@@ -605,6 +602,8 @@ class BusClient:
         self._sock.settimeout(None)
         self._reader = self._sock.makefile("rb")
         self._write_lock = threading.Lock()
+        self._publish_lock = threading.Lock()
+        self._late = 0  # replies still owed to publishes that timed out, under _publish_lock
         self._acks = _SubscriberQueue(DEFAULT_QUEUE_CAPACITY)
         self._msgs = _SubscriberQueue(DEFAULT_QUEUE_CAPACITY)
         self._reader_thread = threading.Thread(target=self._read_loop, daemon=True)
@@ -655,10 +654,13 @@ class BusClient:
         n.validate()
         rec = n.to_record()
         rec["op"] = "PUB"
-        self._send(rec)
-        ack = self._acks.poll(self._timeout)
-        if ack is None:
-            raise BusError("no ACKCOUNT reply from broker")
+        with self._publish_lock:
+            self._send(rec)
+            while (ack := self._acks.poll(self._timeout)) is not None and self._late:
+                self._late -= 1  # a reply owed to an earlier publish that timed out
+            if ack is None:
+                self._late += 1
+                raise BusError("no ACKCOUNT reply from broker")
         if ack.get("count", -1) < 0:
             raise BusError(ack.get("error", "publish rejected"))
         return ack["count"]

@@ -3,7 +3,8 @@ planning, broker, and the end-to-end demo.
 
 Every module error maps to its own nonzero exit code with a one-line
 diagnostic on stderr; --json switches tabular output to line-delimited
-JSON records.
+JSON records. A malformed input exits 2 or 5 (see README), never 1, which
+is kept for a command's negative result.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .errors import (
     ThreatflowError,
     UnsupportedConstructError,
     ValidationError,
+    parse_json,
+    read_text,
+    reading,
 )
 
 EXIT_CODES = {
@@ -68,13 +72,6 @@ class _Output:
         print(line)
 
 
-def _read(path: str) -> str:
-    target = Path(path)
-    if not target.exists():
-        raise NotFoundError(f"no such file: {path}")
-    return target.read_text(encoding="utf-8")
-
-
 def _parse_vars(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
@@ -98,11 +95,12 @@ def _cmd_repo(args, out: _Output) -> int:
             server.shutdown()
         return 0
     if args.repo_cmd == "add":
-        doc = json.loads(_read(args.file))
-        records = doc["threats"] if isinstance(doc, dict) and "threats" in doc else [doc]
-        added = [store.put_threat(repo.Threat.from_record(r), replace=args.replace) for r in records]
-        for rec in (doc.get("countermeasures", []) if isinstance(doc, dict) else []):
-            store.put_countermeasure(repo.Countermeasure.from_record(rec))
+        doc = parse_json(read_text(args.file, f"no such file: {args.file}"), f"threat file {args.file}")
+        with reading("threat file"):
+            records = doc["threats"] if "threats" in doc else [doc]
+            added = [store.put_threat(repo.Threat.from_record(r), replace=args.replace) for r in records]
+            for rec in doc.get("countermeasures", []):
+                store.put_countermeasure(repo.Countermeasure.from_record(rec))
         out.text(f"stored {len(added)} threat(s): {', '.join(added)}")
         out.record("added", ids=added)
         return 0
@@ -131,7 +129,7 @@ def _cmd_repo(args, out: _Output) -> int:
         out.text(f"{len(cms)} countermeasure(s)")
         return 0
     if args.repo_cmd == "import":
-        added = store.import_from_model(bpmn.parse_bpmn(_read(args.file)))
+        added = store.import_from_model(bpmn.parse_bpmn(read_text(args.file, f"no such file: {args.file}")))
         out.text(f"imported {len(added)} new threat stub(s): {', '.join(added) or '-'}")
         out.record("imported", ids=added)
         return 0
@@ -141,7 +139,7 @@ def _cmd_repo(args, out: _Output) -> int:
 # --- model group ----------------------------------------------------------------
 
 def _cmd_model(args, out: _Output) -> int:
-    text = _read(args.file)
+    text = read_text(args.file, f"no such file: {args.file}")
     if args.model_cmd == "validate":
         pm = bpmn.parse_bpmn(text)  # parse validates; reaching here means clean
         out.text(f"process {pm.id!r}: valid ({len(pm.nodes)} nodes, {len(pm.flows)} flows)")
@@ -173,7 +171,7 @@ def _cmd_model(args, out: _Output) -> int:
 
 def _cmd_transform(args, out: _Output) -> int:
     if args.transform_cmd == "srs2bpmn":
-        doc = srs.load_srs(_read(args.file))
+        doc = srs.load_srs(read_text(args.file, f"no such file: {args.file}"))
         mapping = []
         for entry in args.map or []:
             if "=" not in entry:
@@ -204,8 +202,8 @@ def _cmd_transform(args, out: _Output) -> int:
         )
         return 0
     if args.transform_cmd == "conform":
-        pm = bpmn.parse_bpmn(_read(args.model))
-        doc = srs.load_srs(_read(args.srs))
+        pm = bpmn.parse_bpmn(read_text(args.model, f"no such file: {args.model}"))
+        doc = srs.load_srs(read_text(args.srs, f"no such file: {args.srs}"))
         report = srs.check_conformity(pm, doc)
         for threat_id in sorted(report.missing_threat_ids):
             out.always(f"missing: {threat_id}")
@@ -251,7 +249,8 @@ def _cmd_plan(args, out: _Output) -> int:
             parts = entry.split(":")
             if len(parts) != 3:
                 raise ValidationError(f"--threat expects component:threatId:probability, got {entry!r}")
-            levels[(parts[0], parts[1])] = float(parts[2])
+            with reading("--threat"):
+                levels[(parts[0], parts[1])] = float(parts[2])
         failures = 0
         for p in ranked:
             verdict = composition.verify_plan(p, pm, rule_list, levels)

@@ -32,9 +32,10 @@ from .bus import EventType
 from .errors import (
     EmptyInputError,
     MissingCandidatesError,
-    ParseError,
     PlanCountExceededError,
     ValidationError,
+    parse_json,
+    reading,
 )
 from .rules import AdaptationRule, Predicate
 
@@ -60,8 +61,8 @@ class ComponentDescriptor:
             raise ValidationError(f"component {self.id!r} trustworthiness outside [0,1]")
         if not 0.0 <= self.latency_score <= 1.0:
             raise ValidationError(f"component {self.id!r} latencyScore outside [0,1]")
-        if self.cost < 0:
-            raise ValidationError(f"component {self.id!r} cost is negative")
+        if not math.isfinite(self.cost) or self.cost < 0:
+            raise ValidationError(f"component {self.id!r} cost {self.cost} is not finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,8 @@ class RankingCriteria:
     w_cost: float
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.w_trust, self.w_qos, self.w_cost))):
+            raise ValidationError("ranking weights must be finite numbers")
         if min(self.w_trust, self.w_qos, self.w_cost) < 0:
             raise ValidationError("ranking weights must be non-negative")
         if self.w_trust + self.w_qos + self.w_cost <= 0:
@@ -377,7 +380,7 @@ def verify_plan(
 # --- .registry and .criteria file formats ----------------------------------------
 
 def registry_from_record(raw: dict) -> CandidateRegistry:
-    try:
+    with reading("registry"):
         entries = []
         for task_id, comps in raw["tasks"].items():
             descriptors = tuple(
@@ -392,19 +395,13 @@ def registry_from_record(raw: dict) -> CandidateRegistry:
                 for c in comps
             )
             entries.append((task_id, descriptors))
-    except KeyError as exc:
-        raise ValidationError(f"registry record missing field {exc}")
-    reg = CandidateRegistry(entries=tuple(entries))
-    reg.validate()
+        reg = CandidateRegistry(entries=tuple(entries))
+        reg.validate()
     return reg
 
 
 def load_registry(text: str) -> CandidateRegistry:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed registry file: {exc.msg}", (exc.lineno, exc.colno))
-    return registry_from_record(raw)
+    return registry_from_record(parse_json(text, "registry file"))
 
 
 def dump_registry(reg: CandidateRegistry) -> str:
@@ -428,19 +425,14 @@ def dump_registry(reg: CandidateRegistry) -> str:
 
 
 def load_criteria(text: str) -> RankingCriteria:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed criteria file: {exc.msg}", (exc.lineno, exc.colno))
-    try:
+    raw = parse_json(text, "criteria file")
+    with reading("criteria"):
         criteria = RankingCriteria(
             w_trust=float(raw["wTrust"]),
             w_qos=float(raw["wQos"]),
             w_cost=float(raw["wCost"]),
         )
-    except KeyError as exc:
-        raise ValidationError(f"criteria record missing field {exc}")
-    criteria.validate()
+        criteria.validate()
     return criteria
 
 

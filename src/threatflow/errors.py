@@ -1,8 +1,13 @@
-"""Shared exception hierarchy.
+"""Shared exception hierarchy, and how outside input becomes an error.
 
 Every error type maps to a distinct CLI exit code (see cli.EXIT_CODES), so
-new exceptions must be added there as well.
+new exceptions must be added there as well. Outside input is read through
+`read_text`, `parse_json` and `reading`, so malformed input raises one of
+these errors, never a bare Python one.
 """
+
+import json
+import os
 
 
 class ThreatflowError(Exception):
@@ -80,3 +85,43 @@ class ComponentFault(ThreatflowError):
     def __init__(self, error_id: str, message: str = ""):
         super().__init__(message or f"component fault: {error_id}")
         self.error_id = error_id
+
+
+def read_text(path: str | os.PathLike, what: str) -> str:
+    """The UTF-8 text of the file at `path`. A missing file raises
+    NotFoundError(what); bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        raise NotFoundError(what) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{os.fspath(path)} is not UTF-8 text: {exc}") from None
+
+
+def parse_json(text: str, what: str):
+    """The JSON value in `text`; malformed JSON raises ParseError naming
+    `what` and the line and column where decoding failed."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed {what}: {exc.msg}", (exc.lineno, exc.colno)) from None
+
+
+class reading:
+    """Context manager around building and validating one `what` record from
+    decoded JSON: a missing key, or a field of the wrong type or value, raises
+    `error` instead. A class, not a generator: it runs once per wire record."""
+
+    def __init__(self, what: str, error: type[ThreatflowError] = ValidationError):
+        self.what = what
+        self.error = error
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, KeyError):
+            raise self.error(f"{self.what} record missing field {exc}") from exc
+        if isinstance(exc, (TypeError, ValueError, AttributeError, OverflowError)):
+            raise self.error(f"malformed {self.what} record: {exc}") from exc

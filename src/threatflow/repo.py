@@ -18,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from . import bpmn
-from .errors import ConflictError, NotFoundError, ParseError, ValidationError
+from .errors import ConflictError, NotFoundError, ParseError, ValidationError, parse_json, read_text, reading
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ class Threat:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Threat":
-        try:
+        with reading("threat"):
             t = cls(
                 id=rec["id"],
                 name=rec.get("name", ""),
@@ -73,11 +73,7 @@ class Threat:
                 links=tuple(rec.get("links", [])),
                 related=tuple(rec.get("related", [])),
             )
-        except KeyError as exc:
-            raise ValidationError(f"threat record missing field {exc}")
-        except ValueError as exc:
-            raise ValidationError(str(exc))
-        t.validate()
+            t.validate()
         return t
 
 
@@ -108,7 +104,7 @@ class Countermeasure:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Countermeasure":
-        try:
+        with reading("countermeasure"):
             cm = cls(
                 id=rec["id"],
                 threat_id=rec["threatId"],
@@ -117,11 +113,7 @@ class Countermeasure:
                 format=CountermeasureFormat(rec.get("format", "text")),
                 rank_score=float(rec.get("rankScore", 0.0)),
             )
-        except KeyError as exc:
-            raise ValidationError(f"countermeasure record missing field {exc}")
-        except ValueError as exc:
-            raise ValidationError(str(exc))
-        cm.validate()
+            cm.validate()
         return cm
 
 
@@ -146,17 +138,14 @@ class Repository:
     # -- persistence
 
     def _load(self) -> None:
-        with open(self._path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"repository file {self._path}: {exc}")
-        for rec in doc.get("threats", []):
-            t = Threat.from_record(rec)
-            self._threats[t.id] = t
-        for rec in doc.get("countermeasures", []):
-            cm = Countermeasure.from_record(rec)
-            self._countermeasures[cm.id] = cm
+        doc = parse_json(read_text(self._path, f"no such file: {self._path}"), f"repository file {self._path}")
+        with reading("repository"):
+            for rec in doc.get("threats", []):
+                t = Threat.from_record(rec)
+                self._threats[t.id] = t
+            for rec in doc.get("countermeasures", []):
+                cm = Countermeasure.from_record(rec)
+                self._countermeasures[cm.id] = cm
 
     def _save(self) -> None:
         if self._path is None:
@@ -299,9 +288,14 @@ class _RepoHandler(BaseHTTPRequestHandler):
         status = _HTTP_STATUS.get(type(exc), 500)
         self._reply(status, {"error": type(exc).__name__, "message": str(exc)})
 
-    def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        return self.rfile.read(length)
+    def _body(self) -> str:
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():
+            raise ValidationError(f"Content-Length {length!r} is not a non-negative integer")
+        try:
+            return self.rfile.read(int(length)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"request body is not UTF-8 text: {exc}") from None
 
     def do_GET(self):
         url = urlparse(self.path)
@@ -309,11 +303,12 @@ class _RepoHandler(BaseHTTPRequestHandler):
         try:
             if parts == ["threats"]:
                 qs = parse_qs(url.query)
-                q = ThreatQuery(
-                    name_substring=qs["name"][0] if "name" in qs else None,
-                    threat_class=ThreatClass(qs["class"][0]) if "class" in qs else None,
-                    domain=qs["domain"][0] if "domain" in qs else None,
-                )
+                with reading("query"):
+                    q = ThreatQuery(
+                        name_substring=qs["name"][0] if "name" in qs else None,
+                        threat_class=ThreatClass(qs["class"][0]) if "class" in qs else None,
+                        domain=qs["domain"][0] if "domain" in qs else None,
+                    )
                 self._reply(200, [t.to_record() for t in self.repo.search(q)])
             elif len(parts) == 2 and parts[0] == "threats":
                 self._reply(200, self.repo.get_threat(parts[1]).to_record())
@@ -322,8 +317,6 @@ class _RepoHandler(BaseHTTPRequestHandler):
                 self._reply(200, [cm.to_record() for cm in cms])
             else:
                 self._reply(404, {"error": "NotFoundError", "message": f"no route {url.path}"})
-        except ValueError as exc:
-            self._fail(ValidationError(str(exc)))
         except Exception as exc:  # noqa: BLE001 - all errors become HTTP replies
             self._fail(exc)
 
@@ -332,8 +325,7 @@ class _RepoHandler(BaseHTTPRequestHandler):
         parts = [unquote(p) for p in url.path.strip("/").split("/") if p]
         try:
             if len(parts) == 2 and parts[0] == "threats":
-                rec = json.loads(self._body().decode("utf-8"))
-                t = Threat.from_record(rec)
+                t = Threat.from_record(parse_json(self._body(), "request body"))
                 if t.id != parts[1]:
                     raise ValidationError(f"body id {t.id!r} does not match route id {parts[1]!r}")
                 qs = parse_qs(url.query)
@@ -341,8 +333,6 @@ class _RepoHandler(BaseHTTPRequestHandler):
                 self._reply(200, {"id": self.repo.put_threat(t, replace=replace_flag)})
             else:
                 self._reply(404, {"error": "NotFoundError", "message": f"no route {url.path}"})
-        except json.JSONDecodeError as exc:
-            self._fail(ParseError(str(exc)))
         except Exception as exc:  # noqa: BLE001
             self._fail(exc)
 
@@ -350,7 +340,7 @@ class _RepoHandler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         try:
             if url.path.rstrip("/") == "/import":
-                pm = bpmn.parse_bpmn(self._body().decode("utf-8"))
+                pm = bpmn.parse_bpmn(self._body())
                 self._reply(200, {"added": self.repo.import_from_model(pm)})
             else:
                 self._reply(404, {"error": "NotFoundError", "message": f"no route {url.path}"})

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import bpmn
 from .bus import EventType, Notification
-from .errors import DerivationError, EvaluationError, ParseError, ValidationError
+from .errors import DerivationError, EvaluationError, ParseError, ValidationError, parse_json, reading
 
 if TYPE_CHECKING:
     from .composition import CandidateRegistry
@@ -125,6 +125,8 @@ class AdaptationRule:
     predicate: Predicate | None = None
 
     def validate(self) -> None:
+        if not all(isinstance(v, str) for v in (self.rule_id, self.subject_task_id, self.threat_id or "")):
+            raise ValidationError(f"rule {self.rule_id!r} has a non-string ruleId, subjectTaskId or threatId")
         if not self.rule_id:
             raise ValidationError("rule id is empty")
         if not self.subject_task_id:
@@ -235,7 +237,7 @@ def rule_to_record(rule: AdaptationRule) -> dict:
 
 
 def rule_from_record(rec: dict) -> AdaptationRule:
-    try:
+    with reading("rule"):
         predicate = None
         if "predicate" in rec:
             predicate = Predicate(
@@ -255,19 +257,12 @@ def rule_from_record(rec: dict) -> AdaptationRule:
                 params=tuple(sorted(rec["action"].get("params", {}).items())),
             ),
         )
-    except KeyError as exc:
-        raise ValidationError(f"rule record missing field {exc}")
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-    rule.validate()
+        rule.validate()
     return rule
 
 
 def load_rules(text: str) -> list[AdaptationRule]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed rules file: {exc.msg}", (exc.lineno, exc.colno))
+    raw = parse_json(text, "rules file")
     if not isinstance(raw, list):
         raise ParseError("rules file must hold a list of rule records")
     rules = [rule_from_record(rec) for rec in raw]

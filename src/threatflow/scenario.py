@@ -20,7 +20,7 @@ from pathlib import Path
 from . import bpmn
 from .bus import Broker, EventType, Publisher
 from .composition import CandidateRegistry, RankingCriteria, load_criteria, load_registry
-from .errors import ComponentFault, NotFoundError, ParseError, ValidationError
+from .errors import ComponentFault, NotFoundError, ValidationError, parse_json, read_text, reading
 from .rules import AdaptationRule, load_rules
 from .runtime import ComponentInvoker, DeployedService, EventKind, deploy, export_log_lines
 
@@ -39,14 +39,10 @@ class Fixtures:
 
 def load_fixtures(root: Path | None = None) -> Fixtures:
     root = root or FIXTURES_DIR
-    def read(name: str) -> dict:
-        with open(root / name, encoding="utf-8") as fh:
-            return json.load(fh)
-    return Fixtures(
-        airports=read("airports.json"),
-        weather=read("weather.json"),
-        observations=read("observations.json"),
-    )
+    return Fixtures(*(
+        parse_json(read_text(root / name, f"no such file: {root / name}"), name)
+        for name in ("airports.json", "weather.json", "observations.json")
+    ))
 
 
 def _coord_key(coords: dict) -> str:
@@ -157,22 +153,20 @@ class MockComponentConfig:
 
 
 def load_mocks(text: str) -> dict[str, MockComponentConfig]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed mocks file: {exc.msg}", (exc.lineno, exc.colno))
+    raw = parse_json(text, "mocks file")
     configs: dict[str, MockComponentConfig] = {}
-    for comp_id, rec in raw.get("components", {}).items():
-        behavior = rec.get("behavior", {"kind": "healthy"})
-        cfg = MockComponentConfig(
-            component_id=comp_id,
-            kind=behavior.get("kind", "healthy"),
-            error_id=behavior.get("errorId"),
-            steps=int(behavior.get("n", 0)),
-            fixture_key=rec.get("fixtureKey", ""),
-        )
-        cfg.validate()
-        configs[comp_id] = cfg
+    with reading("mocks"):
+        for comp_id, rec in raw.get("components", {}).items():
+            behavior = rec.get("behavior", {"kind": "healthy"})
+            cfg = MockComponentConfig(
+                component_id=comp_id,
+                kind=behavior.get("kind", "healthy"),
+                error_id=behavior.get("errorId"),
+                steps=int(behavior.get("n", 0)),
+                fixture_key=rec.get("fixtureKey", ""),
+            )
+            cfg.validate()
+            configs[comp_id] = cfg
     return configs
 
 
@@ -259,35 +253,23 @@ def load_bundle(path: Path | str) -> Bundle:
     if not root.is_dir():
         raise NotFoundError(f"bundle directory {root} does not exist")
 
-    def read(name: str) -> str:
-        target = root / name
-        if not target.exists():
-            raise NotFoundError(f"bundle is missing {name}")
-        return target.read_text(encoding="utf-8")
-
     aux_entries = []
     aux_dir = root / "aux"
     if aux_dir.is_dir():
         for proc_file in sorted(aux_dir.glob("*.bpmn")):
-            reg_file = proc_file.with_suffix(".registry")
-            if not reg_file.exists():
-                raise NotFoundError(f"auxiliary process {proc_file.name} has no .registry file")
-            aux_entries.append(
-                (
-                    proc_file.stem,
-                    bpmn.parse_bpmn(proc_file.read_text(encoding="utf-8")),
-                    load_registry(reg_file.read_text(encoding="utf-8")),
-                )
-            )
+            missing = f"auxiliary process {proc_file.name} has no .registry file"
+            registry = load_registry(read_text(proc_file.with_suffix(".registry"), missing))
+            process = bpmn.parse_bpmn(read_text(proc_file, f"bundle is missing aux/{proc_file.name}"))
+            aux_entries.append((proc_file.stem, process, registry))
 
     mocks_file = root / "mocks.json"
-    mocks = load_mocks(mocks_file.read_text(encoding="utf-8")) if mocks_file.exists() else {}
+    mocks = load_mocks(read_text(mocks_file, "bundle is missing mocks.json")) if mocks_file.exists() else {}
 
     return Bundle(
-        process=bpmn.parse_bpmn(read("process.bpmn")),
-        registry=load_registry(read("components.registry")),
-        rules=tuple(load_rules(read("adaptation.rules"))),
-        criteria=load_criteria(read("ranking.criteria")),
+        process=bpmn.parse_bpmn(read_text(root / "process.bpmn", "bundle is missing process.bpmn")),
+        registry=load_registry(read_text(root / "components.registry", "bundle is missing components.registry")),
+        rules=tuple(load_rules(read_text(root / "adaptation.rules", "bundle is missing adaptation.rules"))),
+        criteria=load_criteria(read_text(root / "ranking.criteria", "bundle is missing ranking.criteria")),
         mocks=mocks,
         aux=tuple(aux_entries),
     )

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import bpmn
-from .errors import DanglingReferenceError, ParseError, ValidationError
+from .errors import DanglingReferenceError, ParseError, ValidationError, parse_json, reading
 
 ID_MATCH_CAVEAT = (
     "matching is by exact threat ID only; refined or sub-typed threats "
@@ -111,8 +111,8 @@ def _check_references(doc: SrsDocument) -> None:
             if actor not in actor_ids:
                 raise DanglingReferenceError(f"transmission {t.id!r} actor {actor!r} is unknown")
     for th in doc.threats:
-        if not th.threat_id:
-            raise ValidationError(f"threat targeting {th.target_ref!r} has an empty threat id")
+        if not th.threat_id or not isinstance(th.threat_id, str):
+            raise ValidationError(f"threat targeting {th.target_ref!r} has an empty or non-string threat id")
         if th.target_ref not in element_ids:
             raise DanglingReferenceError(
                 f"threat {th.threat_id!r} targets unknown element {th.target_ref!r}"
@@ -124,13 +124,8 @@ def _check_references(doc: SrsDocument) -> None:
 
 def load_srs(text: str) -> SrsDocument:
     """Parse .srs text; every cross-reference must resolve in-document."""
-    try:
-        raw = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed SRS: {exc.msg}", (exc.lineno, exc.colno))
-    if not isinstance(raw, dict):
-        raise ParseError("SRS root must be an object")
-    try:
+    raw = parse_json(text, "SRS") if text.strip() else {}
+    with reading("SRS", error=ParseError):
         doc = SrsDocument(
             actors=tuple(SrsActor(id=a["id"], name=a.get("name", "")) for a in raw.get("actors", [])),
             goals=tuple(
@@ -168,9 +163,7 @@ def load_srs(text: str) -> SrsDocument:
                 for c in raw.get("commitments", [])
             ),
         )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"SRS entry missing required field: {exc}")
-    _check_references(doc)
+        _check_references(doc)
     return doc
 
 

@@ -21,6 +21,7 @@ from threatflow.bus import (
     topic_matches,
     validate_pattern,
 )
+from threatflow.composition import ThreatState
 from threatflow.errors import BusError, ValidationError
 
 TRANSCRIPT = Path(__file__).parent.parent / "src" / "threatflow" / "fixtures" / "wire_transcript.json"
@@ -822,3 +823,57 @@ def test_offer_and_poll_that_need_not_wait_take_no_lock():
     assert (queue._lock.acquires, broker._lock.acquires) == (0, 0)
     assert queue.poll(0.01) is None  # only a poll that waits takes the queue's lock
     assert queue._lock.acquires > 0
+
+
+def test_a_publish_after_a_timeout_takes_its_own_reply():
+    counts = iter(range(10, 20))
+
+    def reply(rec):
+        if rec["op"] != "PUB":
+            return []
+        count = next(counts)
+        if count == 10:
+            time.sleep(0.5)  # the first reply comes after the publish gave up on it
+        return [{"op": "ACKCOUNT", "count": count}]
+
+    server = FakeBusServer(reply)
+    client = BusClient("127.0.0.1", server.port, timeout=0.2)
+    try:
+        with pytest.raises(BusError, match="no ACKCOUNT reply"):
+            client.publish(notification(seq=1))
+        time.sleep(0.5)  # the late reply is in
+        assert client.publish(notification(seq=2)) == 11
+        assert client.publish(notification(seq=3)) == 12
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("stamp", ["1e999", "Infinity", "NaN"])
+def test_a_pub_stamped_with_a_non_finite_time_is_refused_and_later_alerts_still_count(stamp):
+    server = BusServer().start()
+    server.broker.subscribe(Subscription("sre", "threat-level-change.*"))
+    state = ThreatState({"T-DOS"})
+    raw = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    lines = raw.makefile("r", encoding="utf-8", newline="\n")
+
+    def pub(n, timestamp=None):
+        line = json.dumps(dict(n.to_record(), op="PUB"))
+        if timestamp is not None:
+            line = line.replace(json.dumps(n.timestamp), timestamp)
+        raw.sendall((line + "\n").encode())
+        reply = json.loads(lines.readline())
+        while (got := server.broker.poll("sre")) is not None:
+            state.update(got.subject_component_id, got.threat_id, got.payload.probability, got.timestamp)
+        return reply
+
+    try:
+        assert pub(notification(seq=1, probability=0.2, ts=1000.0))["count"] == 1
+        refused = pub(notification(seq=2, probability=0.9, ts=1000.5), timestamp=stamp)
+        assert refused["count"] == -1 and "timestamp" in refused["error"]
+        assert pub(notification(seq=3, probability=0.8, ts=1001.0))["count"] == 1
+        assert state.level("mapA", "T-DOS") == 0.8
+    finally:
+        lines.close()
+        raw.close()
+        server.stop()

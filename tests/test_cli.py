@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -211,3 +212,49 @@ def test_repeated_bus_publish_reaches_the_subscriber_each_time(capsys):
         assert server.broker.pending("sre") == 2
     finally:
         server.stop()
+
+
+
+def _bundle_with(tmp_path, name, content: bytes) -> str:
+    bundle = tmp_path / "bundle"
+    shutil.copytree(DEMO_BUNDLE_DIR, bundle)
+    (bundle / name).write_bytes(content)
+    return str(bundle)
+
+
+def _file_with(tmp_path, name, content: bytes) -> str:
+    (tmp_path / name).write_bytes(content)
+    return str(tmp_path / name)
+
+
+MALFORMED_INPUTS = {
+    "criteria-weight-text": (2, lambda tmp: [
+        "plan", "rank", "--bundle",
+        _bundle_with(tmp, "ranking.criteria", b'{"wTrust": "high", "wQos": 0.3, "wCost": 0.1}'),
+    ]),
+    "model-not-utf8": (5, lambda tmp: [
+        "model", "validate", _file_with(tmp, "p.bpmn", Path(PROCESS).read_bytes() + b"\xff"),
+    ]),
+    "bundle-not-utf8": (5, lambda tmp: [
+        "plan", "rank", "--bundle",
+        _bundle_with(tmp, "components.registry", (DEMO_BUNDLE_DIR / "components.registry").read_bytes() + b"\xff"),
+    ]),
+    "repo-add-truncated": (5, lambda tmp: [
+        "repo", "add", "--repo", str(tmp / "repo.json"),
+        "--file", _file_with(tmp, "t.json", b'{"id": "T-X", "class"'),
+    ]),
+    "verify-probability-text": (2, lambda tmp: [
+        "plan", "verify", "--bundle", BUNDLE, "--threat", "mapA:T-DDOS-COMP:high",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_with_its_code_and_a_one_line_diagnostic(tmp_path, case):
+    code, argv = MALFORMED_INPUTS[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "threatflow", *argv(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr

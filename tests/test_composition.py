@@ -443,3 +443,30 @@ def test_mean_adds_left_to_right_on_every_python():
     # sum() of floats is compensated from Python 3.12 on and gives 1.0 here
     assert composition._mean([0.1] * 10) == 0.9999999999999999 / 10
     assert str(composition._mean([-0.0])) == "0.0" and composition._mean([]) == 0.0
+
+
+def _registry_text(**fields):
+    component = {"id": "c1", "operationRef": "op1", "trustworthiness": 0.5, "latencyScore": 0.5}
+    return json.dumps({"tasks": {"t1": [dict(component, **fields)]}})
+
+
+@pytest.mark.parametrize("load, text", [
+    (composition.load_registry, "[]"),
+    (composition.load_registry, _registry_text(id=5)),
+    (composition.load_registry, _registry_text(trustworthiness="high")),
+    (composition.load_criteria, "[]"),
+    (composition.load_criteria, json.dumps({"wTrust": "high", "wQos": 0.3, "wCost": 0.1})),
+], ids=["registry-list", "registry-id-5", "registry-trust-text", "criteria-list", "criteria-weight-text"])
+def test_malformed_registry_and_criteria_raise_validation_error(load, text):
+    with pytest.raises(ValidationError):
+        load(text)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_costs_and_weights_must_be_finite(bad):
+    with pytest.raises(ValidationError, match="cost"):
+        composition.load_registry(_registry_text(cost=bad))
+    for weight in ("wTrust", "wQos", "wCost"):
+        weights = dict({"wTrust": 0.6, "wQos": 0.3, "wCost": 0.1}, **{weight: bad})
+        with pytest.raises(ValidationError, match="finite"):
+            composition.load_criteria(json.dumps(weights))

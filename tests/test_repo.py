@@ -6,7 +6,7 @@ import urllib.request
 import pytest
 
 from threatflow import bpmn, repo
-from threatflow.errors import ConflictError, NotFoundError, ValidationError
+from threatflow.errors import ConflictError, NotFoundError, ParseError, ValidationError
 
 
 def sample_threat(tid="T-DOS", name="Denial of service", cls=repo.ThreatClass.OPERATIONAL):
@@ -206,6 +206,44 @@ def test_http_import_bpmn(http_repo):
     with urllib.request.urlopen(req, timeout=5) as r:
         assert json.loads(r.read()) == {"added": ["T-IMPORTED"]}
     assert store.get_threat("T-IMPORTED").id == "T-IMPORTED"
+
+
+@pytest.mark.parametrize("method, path, body, headers", [
+    ("PUT", "/threats/T-X", b'{"id": "T-X\xff", "class": "business"}', {}),
+    ("PUT", "/threats/T-X", b"[1]", {}),
+    ("PUT", "/threats/T-X", b'{"id": "T-X", "class": "business", "domains": 5}', {}),
+    ("POST", "/import", b"<definitions \xff/>", {}),
+    ("PUT", "/threats/T-X", b"{}", {"Content-Length": "abc"}),
+], ids=["put-not-utf8", "put-list", "put-domains-int", "import-not-utf8", "content-length-text"])
+def test_http_malformed_request_is_400(http_repo, method, path, body, headers):
+    _, base = http_repo
+    req = urllib.request.Request(f"{base}{path}", data=body, method=method, headers=headers)
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        urllib.request.urlopen(req, timeout=5)
+    exc.value.close()  # the error response holds the connection open
+    assert exc.value.code == 400
+
+
+@pytest.mark.parametrize("make, rec", [
+    (repo.Threat.from_record, [1]),
+    (repo.Threat.from_record, {"id": "T-X", "class": "business", "domains": 5}),
+    (repo.Threat.from_record, {"id": 5, "class": "business"}),
+    (repo.Countermeasure.from_record, {"id": "cm", "threatId": "T-X", "rankScore": [1]}),
+], ids=["threat-list", "threat-domains-int", "threat-id-int", "countermeasure-rank-list"])
+def test_malformed_records_raise_validation_error(make, rec):
+    with pytest.raises(ValidationError):
+        make(rec)
+
+
+@pytest.mark.parametrize("content, error", [
+    (b"[]", ValidationError),
+    (b'{"threats": [{"id": "T-X", "class": "business"}]}\xff', ParseError),
+], ids=["list", "not-utf8"])
+def test_malformed_repository_file_raises(tmp_path, content, error):
+    path = tmp_path / "repo.json"
+    path.write_bytes(content)
+    with pytest.raises(error):
+        repo.Repository(path)
 
 
 def test_put_threat_with_empty_id_is_rejected():

@@ -226,3 +226,22 @@ def test_derivation_matches_bruteforce_cross_product():
         }
         assert r.derive_subscriptions(rules, reg) == oracle
         assert oracle  # every rule's subject is a real task, so never empty
+
+
+def _rule_record(**fields):
+    rec = r.rule_to_record(rule())
+    rec.update(fields)
+    return rec
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    json.dumps([_rule_record(action={"kind": "recompose", "params": [1]})]),
+    json.dumps([_rule_record(scope="wholeProcess")]),
+    json.dumps([_rule_record(ruleId=[1])]),
+    json.dumps([_rule_record(subjectTaskId={"a": 1})]),
+    json.dumps([_rule_record(threatId=[1])]),
+], ids=["not-a-record", "params-list", "scope-text", "rule-id-list", "subject-dict", "threat-id-list"])
+def test_malformed_rules_raise_validation_error(text):
+    with pytest.raises(ValidationError):
+        r.load_rules(text)

@@ -1,10 +1,11 @@
 import json
+import shutil
 
 import pytest
 
 from threatflow import scenario
 from threatflow.bus import Broker, EventType, Publisher, Subscription
-from threatflow.errors import ComponentFault, NotFoundError, ValidationError
+from threatflow.errors import ComponentFault, NotFoundError, ParseError, ValidationError
 from threatflow.runtime import EventKind, Outcome
 from threatflow.scenario import (
     DEMO_BUNDLE_DIR,
@@ -207,3 +208,22 @@ def test_launch_runs_bundled_hardening_process():
     launched = [e for e in svc.event_log if e.kind is EventKind.ACTION_TAKEN
                 and e.detail.get("action") == "launchProcess"]
     assert launched and launched[-1].detail["result"] == f"started:{iid}"
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    json.dumps({"components": []}),
+    json.dumps({"components": {"mapA": {"behavior": {"kind": "delaySteps", "n": "x"}}}}),
+], ids=["not-an-object", "components-list", "steps-text"])
+def test_malformed_mocks_raise_validation_error(text):
+    with pytest.raises(ValidationError):
+        scenario.load_mocks(text)
+
+
+@pytest.mark.parametrize("name", ["process.bpmn", "adaptation.rules", "aux/hardening.registry"])
+def test_bundle_file_that_is_not_utf8_raises_parse_error(tmp_path, name):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(DEMO_BUNDLE_DIR, bundle)
+    (bundle / name).write_bytes((bundle / name).read_bytes() + b"\xff")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_bundle(bundle)

@@ -43,6 +43,15 @@ def test_malformed_json_reports_position():
     assert exc.value.position == (1, 2)
 
 
+@pytest.mark.parametrize("raw, error", [
+    (dict(SAMPLE, goals=[{"id": "g-1", "ownerActor": ["a-pilot"]}]), ParseError),
+    (dict(SAMPLE, threats=[{"threatId": ["T-X"], "targetRef": "tx-map"}]), ValidationError),
+], ids=["owner-list", "threat-id-list"])
+def test_malformed_srs_records_raise_threatflow_errors(raw, error):
+    with pytest.raises(error):
+        srs.load_srs(json.dumps(raw))
+
+
 def test_dangling_threat_target_rejected():
     raw = dict(SAMPLE, threats=[{"threatId": "T-X", "targetRef": "nowhere"}])
     with pytest.raises(DanglingReferenceError):
