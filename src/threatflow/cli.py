@@ -250,7 +250,10 @@ def _cmd_plan(args, out: _Output) -> int:
             if len(parts) != 3:
                 raise ValidationError(f"--threat expects component:threatId:probability, got {entry!r}")
             with reading("--threat"):
-                levels[(parts[0], parts[1])] = float(parts[2])
+                probability = float(parts[2])
+            if not 0.0 <= probability <= 1.0:  # NaN fails the comparison too
+                raise ValidationError(f"--threat probability {parts[2]!r} outside [0,1]")
+            levels[(parts[0], parts[1])] = probability
         failures = 0
         for p in ranked:
             verdict = composition.verify_plan(p, pm, rule_list, levels)

@@ -34,6 +34,15 @@ class CountermeasureFormat(Enum):
     SERVICE_REF = "service-ref"
 
 
+def _strings(rec: dict, key: str) -> list[str]:
+    """rec[key] (empty when absent) if it is a list of strings; a string is
+    refused rather than split into its characters."""
+    value = rec.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key} must be a list of strings, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Threat:
     id: str
@@ -68,10 +77,10 @@ class Threat:
                 id=rec["id"],
                 name=rec.get("name", ""),
                 threat_class=ThreatClass(rec["class"]),
-                domains=frozenset(rec.get("domains", [])),
+                domains=frozenset(_strings(rec, "domains")),
                 description=rec.get("description", ""),
-                links=tuple(rec.get("links", [])),
-                related=tuple(rec.get("related", [])),
+                links=tuple(_strings(rec, "links")),
+                related=tuple(_strings(rec, "related")),
             )
             t.validate()
         return t

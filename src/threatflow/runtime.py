@@ -6,10 +6,17 @@ process instances with token semantics. Incoming notifications update the
 threat state, are matched against the rules, and may trigger stop,
 recomposition, an auxiliary process launch, or an outbound notify.
 
-An alert costs the service-scope rules plus, for each live instance, only
-the rules whose subject task that instance binds to the alert's subject; the
-service keeps its in-progress instances in an index of their own, so
-finished instances cost nothing. A plan switch rebinds only the tasks whose
+A notStarted task of a live instance always holds the active plan's
+component (an instance starts on a copy of the plan, and each switch rebinds
+its notStarted tasks), and a started task never changes component. So a
+live instance binds a task off the plan only if it started the task before
+a switch moved the plan off its component; each switch files such instances
+in `_off_plan`, and they leave it when they finish or the plan comes back.
+An alert costs the service-scope rules plus the instance rules of its event
+type, tried on an instance only where it binds their subject task to the
+alert's subject: every live instance when the plan binds a subject task to
+the subject, otherwise only the `_off_plan` instances kept on the subject.
+Finished instances cost nothing. A plan switch rebinds only the tasks whose
 component changed.
 
 What a service remembers is bounded. One store per service holds the
@@ -203,6 +210,10 @@ class DeployedService:
         # leaves it when its outcome leaves IN_PROGRESS, for the FIFO of
         # finished ids that `instances` keeps up to FINISHED_RETENTION
         self._live: dict[str, ProcessInstance] = {}
+        # (task id, component) -> the live instances, in start order, that
+        # started that task on that component before a plan switch moved
+        # the plan off it: the only live instances bound off the plan
+        self._off_plan: dict[tuple[str, str], dict[str, ProcessInstance]] = {}
         self._finished: deque[str] = deque()
         self.evicted_outcomes: Counter[Outcome] = Counter()
         tasks = process.index.service_tasks
@@ -351,9 +362,17 @@ class DeployedService:
             return inst
 
     def _retire(self, instance_id: str) -> None:
-        """A finished instance leaves _live; past FINISHED_RETENTION the oldest
-        finished one leaves `instances`, and only its outcome is counted."""
-        del self._live[instance_id]
+        """A finished instance leaves _live and _off_plan; past
+        FINISHED_RETENTION the oldest finished one leaves `instances`, and
+        only its outcome is counted."""
+        inst = self._live.pop(instance_id)
+        if self._off_plan:
+            for key in inst.bindings.items():
+                bucket = self._off_plan.get(key)
+                if bucket and instance_id in bucket:
+                    del bucket[instance_id]
+                    if not bucket:
+                        del self._off_plan[key]
         self._finished.append(instance_id)
         if len(self._finished) > FINISHED_RETENTION:
             self.evicted_outcomes[self.instances.pop(self._finished.popleft()).outcome] += 1
@@ -523,10 +542,13 @@ class DeployedService:
 
     def _targets(self, n: Notification):
         """The active plan with its service rules, then each live instance
-        with its instance rules, each time keeping only the rules that can
-        match n: evaluate() rejects a rule of another event type or whose
-        subject task is bound to another component. Lazy, so a stop or
-        recompose taken on the plan's rules visits no instance."""
+        that may bind a subject task to n's subject, with its instance rules,
+        each time keeping only the rules that can match n: evaluate() rejects
+        a rule of another event type or whose subject task is bound to
+        another component. Unless the plan binds a subject task to the
+        subject, only the _off_plan instances can, so only they are visited.
+        Lazy, so a stop or recompose taken on the plan's rules visits no
+        instance."""
         subject = n.subject_component_id
         plan = dict(self._plan.bindings)
         yield None, plan, [
@@ -535,7 +557,17 @@ class DeployedService:
         rules = [r for r in self._instance_rules if r.event_type is n.type]
         if not rules:
             return
-        for inst in self.live_instances():
+        tasks = dict.fromkeys(r.subject_task_id for r in rules)
+        if any(plan.get(t) == subject for t in tasks):
+            instances = self.live_instances()
+        else:
+            buckets = [b for t in tasks if (b := self._off_plan.get((t, subject)))]
+            if len(buckets) == 1:
+                instances = list(buckets[0].values())
+            else:  # ids count up from i1 in start order
+                union = {iid: inst for b in buckets for iid, inst in b.items()}
+                instances = [union[iid] for iid in sorted(union, key=lambda iid: int(iid[1:]))]
+        for inst in instances:
             hit = [r for r in rules if inst.bindings.get(r.subject_task_id) == subject]
             if hit:
                 yield inst, inst.bindings, hit
@@ -659,9 +691,15 @@ class DeployedService:
         changed (task, component) pair, in plan task order; active/completed
         tasks keep their component and results. A notStarted task already
         holds the old active plan's component, so unchanged tasks need no
-        write."""
+        write. A started task whose kept component the plan leaves is filed
+        in _off_plan, and a task's filed instances leave it once the plan
+        binds the task to their component again."""
         not_started = TaskStatus.NOT_STARTED
-        rebinds = [(task_id, comp_id, f":{task_id}:{comp_id}") for task_id, comp_id in changed]
+        off_plan = self._off_plan
+        rebinds = []
+        for task_id, comp_id in changed:
+            off_plan.pop((task_id, comp_id), None)
+            rebinds.append((task_id, comp_id, f":{task_id}:{comp_id}"))
         adopted = []
         for inst in self._live.values():
             inst.plan_id = plan_id
@@ -669,6 +707,8 @@ class DeployedService:
                 if inst.task_status[task_id] is not_started:
                     adopted.append(inst.instance_id + suffix)
                     inst.bindings[task_id] = comp_id
+                elif (kept := inst.bindings[task_id]) != comp_id:
+                    off_plan.setdefault((task_id, kept), {})[inst.instance_id] = inst
         return adopted
 
     def act_launch(self, process_ref: str, variables: dict | None = None) -> str | None:

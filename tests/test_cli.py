@@ -246,6 +246,16 @@ MALFORMED_INPUTS = {
     "verify-probability-text": (2, lambda tmp: [
         "plan", "verify", "--bundle", BUNDLE, "--threat", "mapA:T-DDOS-COMP:high",
     ]),
+    "verify-probability-nan": (2, lambda tmp: [
+        "plan", "verify", "--bundle", BUNDLE, "--threat", "mapA:T-DDOS-COMP:nan",
+    ]),
+    "verify-probability-above-one": (2, lambda tmp: [
+        "plan", "verify", "--bundle", BUNDLE, "--threat", "mapA:T-DDOS-COMP:7",
+    ]),
+    "repo-add-links-string": (2, lambda tmp: [
+        "repo", "add", "--repo", str(tmp / "repo.json"),
+        "--file", _file_with(tmp, "t.json", b'{"id": "T-X", "class": "business", "links": "http://x"}'),
+    ]),
 }
 
 

@@ -212,9 +212,11 @@ def test_http_import_bpmn(http_repo):
     ("PUT", "/threats/T-X", b'{"id": "T-X\xff", "class": "business"}', {}),
     ("PUT", "/threats/T-X", b"[1]", {}),
     ("PUT", "/threats/T-X", b'{"id": "T-X", "class": "business", "domains": 5}', {}),
+    ("PUT", "/threats/T-X", b'{"id": "T-X", "class": "business", "domains": "ATM"}', {}),
     ("POST", "/import", b"<definitions \xff/>", {}),
     ("PUT", "/threats/T-X", b"{}", {"Content-Length": "abc"}),
-], ids=["put-not-utf8", "put-list", "put-domains-int", "import-not-utf8", "content-length-text"])
+], ids=["put-not-utf8", "put-list", "put-domains-int", "put-domains-string", "import-not-utf8",
+        "content-length-text"])
 def test_http_malformed_request_is_400(http_repo, method, path, body, headers):
     _, base = http_repo
     req = urllib.request.Request(f"{base}{path}", data=body, method=method, headers=headers)
@@ -228,8 +230,13 @@ def test_http_malformed_request_is_400(http_repo, method, path, body, headers):
     (repo.Threat.from_record, [1]),
     (repo.Threat.from_record, {"id": "T-X", "class": "business", "domains": 5}),
     (repo.Threat.from_record, {"id": 5, "class": "business"}),
+    (repo.Threat.from_record, {"id": "T-X", "class": "business", "domains": "ATM"}),
+    (repo.Threat.from_record, {"id": "T-X", "class": "business", "links": "http://x"}),
+    (repo.Threat.from_record, {"id": "T-X", "class": "business", "related": "T-Y"}),
+    (repo.Threat.from_record, {"id": "T-X", "class": "business", "links": ["http://x", 5]}),
     (repo.Countermeasure.from_record, {"id": "cm", "threatId": "T-X", "rankScore": [1]}),
-], ids=["threat-list", "threat-domains-int", "threat-id-int", "countermeasure-rank-list"])
+], ids=["threat-list", "threat-domains-int", "threat-id-int", "threat-domains-string", "threat-links-string",
+        "threat-related-string", "threat-links-int-item", "countermeasure-rank-list"])
 def test_malformed_records_raise_validation_error(make, rec):
     with pytest.raises(ValidationError):
         make(rec)

@@ -648,6 +648,151 @@ def test_finished_instances_leave_the_live_index_and_cost_an_alert_nothing(monke
         assert svc.instances[iid].outcome is Outcome.STOPPED_BY_RULE
 
 
+def _pinned_service(counts):
+    """t1 stays active for 50 steps on every candidate, so an instance
+    stepped twice keeps its t1 component across plan switches. r1 recomposes
+    at 0.5 and up; r2 notifies before t2, from 0.2 up, for each instance
+    that binds t1 to the alert's subject."""
+    pm = linear_model(wired=False)
+    delays = {f"t1-c{j}": 50 for j in range(1, counts["t1"] + 1)}
+    notify = tlc_rule(rule_id="r2", scope=Scope(kind=ScopeKind.BEFORE_TASK, ref_task_id="t2"),
+                      action=ActionKind.NOTIFY, threshold=0.2)
+    return make_service(pm=pm, counts=counts, rules=[tlc_rule(), notify], invoker=ScriptedInvoker(delays=delays))
+
+
+def _pin_t1(svc):
+    iid = svc.start_instance({}, run=False)
+    svc.step(iid)
+    svc.step(iid)  # start, then t1 active on the plan's component
+    assert svc.instances[iid].task_status["t1"] is TaskStatus.ACTIVE
+    return iid
+
+
+def _reached(svc, subject, probability, seq, monkeypatch):
+    """The instances an alert visits, and those whose r2 it matches, in order."""
+    visited = []
+    position = runtime.ProcessInstance.position
+    monkeypatch.setattr(runtime.ProcessInstance, "position",
+                        lambda inst: visited.append(inst.instance_id) or position(inst))
+    before = len(svc.event_log)
+    svc.on_notification(threat_notification(subject, probability, seq=seq))
+    monkeypatch.setattr(runtime.ProcessInstance, "position", position)
+    matched = [e.detail["level"] for e in svc.event_log[before:] if e.kind is EventKind.RULE_MATCHED]
+    return visited, matched
+
+
+def _off_plan(svc):
+    return {key: list(bucket) for key, bucket in svc._off_plan.items()}
+
+
+def test_an_alert_reaches_the_instances_a_switch_left_on_its_subject(monkeypatch):
+    # A -> B: the alert on A is taken by no plan rule and reaches only the
+    # two instances that started t1 on A, in start order
+    svc = _pinned_service({"t1": 3})
+    first, second = _pin_t1(svc), _pin_t1(svc)
+    assert svc._off_plan == {}
+    svc.on_notification(threat_notification("t1-c1", 0.9, seq=1))
+    assert svc.active_plan().binding_for("t1") == "t1-c2"
+    rebound = svc.start_instance({}, run=False)
+    on_b = _pin_t1(svc)
+    assert _off_plan(svc) == {("t1", "t1-c1"): [first, second]}
+    assert _reached(svc, "t1-c1", 0.9, 2, monkeypatch) == ([first, second], [first, second])
+    assert _reached(svc, "t1-c3", 0.9, 3, monkeypatch) == ([], [])
+    # the plan's own component still reaches every live instance bound to it
+    assert _reached(svc, "t1-c2", 0.3, 4, monkeypatch) == ([rebound, on_b],) * 2
+
+
+def test_a_switch_back_to_the_kept_component_empties_its_entry(monkeypatch):
+    # A -> B -> A: the A instances are on the plan again, the B one is not
+    svc = _pinned_service({"t1": 2})
+    first, second = _pin_t1(svc), _pin_t1(svc)
+    svc.on_notification(threat_notification("t1-c1", 0.9, seq=1))
+    rebound = svc.start_instance({}, run=False)
+    on_b = _pin_t1(svc)
+    svc.on_notification(threat_notification("t1-c1", 0.1, seq=2))  # lowers A's level below r1's
+    svc.on_notification(threat_notification("t1-c2", 0.9, seq=3))  # prunes A's flag, back to A
+    assert svc.active_plan().binding_for("t1") == "t1-c1"
+    assert svc.instances[rebound].bindings["t1"] == "t1-c1"
+    assert _off_plan(svc) == {("t1", "t1-c2"): [on_b]}
+    assert _reached(svc, "t1-c1", 0.3, 4, monkeypatch) == ([first, second, rebound],) * 2
+    assert _reached(svc, "t1-c2", 0.9, 5, monkeypatch) == ([on_b],) * 2
+
+
+def test_each_kept_component_has_its_own_entry_across_switches(monkeypatch):
+    # A -> B -> C: A and B instances each reached by an alert on their own
+    svc = _pinned_service({"t1": 3})
+    on_a = _pin_t1(svc)
+    svc.on_notification(threat_notification("t1-c1", 0.9, seq=1))
+    on_b = _pin_t1(svc)
+    svc.on_notification(threat_notification("t1-c2", 0.9, seq=2))
+    assert svc.active_plan().binding_for("t1") == "t1-c3"
+    on_c = _pin_t1(svc)
+    assert _off_plan(svc) == {("t1", "t1-c1"): [on_a], ("t1", "t1-c2"): [on_b]}
+    assert _reached(svc, "t1-c1", 0.9, 3, monkeypatch) == ([on_a],) * 2
+    assert _reached(svc, "t1-c2", 0.9, 4, monkeypatch) == ([on_b],) * 2
+    assert _reached(svc, "t1-c3", 0.3, 5, monkeypatch) == ([on_c],) * 2
+
+
+def test_an_alert_on_a_component_kept_by_two_tasks_visits_instances_in_start_order(monkeypatch):
+    pm = linear_model(n_tasks=3, wired=False)
+    pm = replace(pm, nodes=tuple(replace(n, operation_ref="op") if n.id in ("t2", "t3") else n
+                                 for n in pm.nodes))
+
+    def component(cid, op, trust):
+        return ComponentDescriptor(id=cid, provider="prov", operation_ref=op,
+                                   trustworthiness=trust, latency_score=0.5, cost=1.0)
+
+    shared = component("shared", "op", 0.9)
+    reg = CandidateRegistry(entries=(
+        ("t1", (component("t1-c1", "op1", 0.9),)),
+        ("t2", (shared, component("t2-alt", "op", 0.5))),
+        ("t3", (shared, component("t3-alt", "op", 0.5))),
+    ))
+    # rule order puts t3 before t2, so the entries are read in that order
+    rules = [tlc_rule(rule_id=f"r{k}", task=task, action=ActionKind.NOTIFY,
+                      scope=Scope(kind=ScopeKind.AFTER_TASK, ref_task_id="t1"))
+             for k, task in ((1, "t3"), (2, "t2"))]
+    invoker = ScriptedInvoker(delays={"shared": 50})
+    svc = deploy(pm, reg, rules=rules, criteria=CRITERIA, broker=Broker(), invoker=invoker,
+                 service_id="svc", clock=iter(range(1, 1000)).__next__)
+    at_t2 = svc.start_instance({}, run=False)
+    for _ in range(3):  # start, t1 done, t2 active on the shared component
+        svc.step(at_t2)
+    invoker.delays = {"shared": 0}
+    at_t3 = svc.start_instance({}, run=False)
+    for _ in range(3):  # start, t1 done, t2 done on the shared component
+        svc.step(at_t3)
+    invoker.delays = {"shared": 50}
+    svc.step(at_t3)  # t3 active on the shared component
+    svc.act_recompose("shared")
+    assert _off_plan(svc) == {("t2", "shared"): [at_t2, at_t3], ("t3", "shared"): [at_t3]}
+    visited, matched = _reached(svc, "shared", 0.9, 1, monkeypatch)
+    assert visited == [at_t2, at_t3]
+    assert matched == [at_t2, at_t3, at_t3]  # r2 for at_t2, then r1 and r2 for at_t3
+
+
+def test_finished_stopped_and_evicted_instances_leave_no_off_plan_entry():
+    svc = _pinned_service({"t1": 2})
+    held = []
+    for k in range(runtime.FINISHED_RETENTION + 20):
+        iid = _pin_t1(svc)
+        flagged = svc.active_plan().binding_for("t1")
+        svc.on_notification(threat_notification(flagged, 0.9, seq=2 * k + 1))
+        svc.on_notification(threat_notification(flagged, 0.1, seq=2 * k + 2))
+        assert svc.active_plan().binding_for("t1") != flagged
+        assert iid in svc._off_plan[("t1", flagged)]
+        if k % 100 == 0:
+            held.append(iid)
+            continue
+        svc.run_instance(iid)
+        assert svc.instances[iid].outcome is Outcome.COMPLETED
+        assert iid not in svc._off_plan.get(("t1", flagged), {})
+    assert svc.evicted_outcomes[Outcome.COMPLETED] > 0
+    assert {iid for bucket in svc._off_plan.values() for iid in bucket} <= set(held)
+    svc.act_stop()
+    assert svc._off_plan == {}
+
+
 def test_plan_switch_rebinds_changed_not_started_tasks_in_instance_then_task_order():
     pm = linear_model(n_tasks=3, wired=False)
     # t2 and t3 share an operation, so one component can serve both
