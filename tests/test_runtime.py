@@ -681,7 +681,7 @@ def _reached(svc, subject, probability, seq, monkeypatch):
     return visited, matched
 
 
-def _off_plan(svc):
+def _filed(svc):
     return {key: list(bucket) for key, bucket in svc._off_plan.items()}
 
 
@@ -695,7 +695,7 @@ def test_an_alert_reaches_the_instances_a_switch_left_on_its_subject(monkeypatch
     assert svc.active_plan().binding_for("t1") == "t1-c2"
     rebound = svc.start_instance({}, run=False)
     on_b = _pin_t1(svc)
-    assert _off_plan(svc) == {("t1", "t1-c1"): [first, second]}
+    assert _filed(svc) == {("t1", "t1-c1"): [first, second]}
     assert _reached(svc, "t1-c1", 0.9, 2, monkeypatch) == ([first, second], [first, second])
     assert _reached(svc, "t1-c3", 0.9, 3, monkeypatch) == ([], [])
     # the plan's own component still reaches every live instance bound to it
@@ -713,7 +713,7 @@ def test_a_switch_back_to_the_kept_component_empties_its_entry(monkeypatch):
     svc.on_notification(threat_notification("t1-c2", 0.9, seq=3))  # prunes A's flag, back to A
     assert svc.active_plan().binding_for("t1") == "t1-c1"
     assert svc.instances[rebound].bindings["t1"] == "t1-c1"
-    assert _off_plan(svc) == {("t1", "t1-c2"): [on_b]}
+    assert _filed(svc) == {("t1", "t1-c2"): [on_b]}
     assert _reached(svc, "t1-c1", 0.3, 4, monkeypatch) == ([first, second, rebound],) * 2
     assert _reached(svc, "t1-c2", 0.9, 5, monkeypatch) == ([on_b],) * 2
 
@@ -727,13 +727,15 @@ def test_each_kept_component_has_its_own_entry_across_switches(monkeypatch):
     svc.on_notification(threat_notification("t1-c2", 0.9, seq=2))
     assert svc.active_plan().binding_for("t1") == "t1-c3"
     on_c = _pin_t1(svc)
-    assert _off_plan(svc) == {("t1", "t1-c1"): [on_a], ("t1", "t1-c2"): [on_b]}
+    assert _filed(svc) == {("t1", "t1-c1"): [on_a], ("t1", "t1-c2"): [on_b]}
     assert _reached(svc, "t1-c1", 0.9, 3, monkeypatch) == ([on_a],) * 2
     assert _reached(svc, "t1-c2", 0.9, 4, monkeypatch) == ([on_b],) * 2
     assert _reached(svc, "t1-c3", 0.3, 5, monkeypatch) == ([on_c],) * 2
 
 
-def test_an_alert_on_a_component_kept_by_two_tasks_visits_instances_in_start_order(monkeypatch):
+def _shared_service(rules, invoker):
+    """Three tasks; t2 and t3 share an operation, so one component, "shared",
+    can serve both, and the plan binds it to both until it is flagged."""
     pm = linear_model(n_tasks=3, wired=False)
     pm = replace(pm, nodes=tuple(replace(n, operation_ref="op") if n.id in ("t2", "t3") else n
                                  for n in pm.nodes))
@@ -748,13 +750,17 @@ def test_an_alert_on_a_component_kept_by_two_tasks_visits_instances_in_start_ord
         ("t2", (shared, component("t2-alt", "op", 0.5))),
         ("t3", (shared, component("t3-alt", "op", 0.5))),
     ))
+    return deploy(pm, reg, rules=rules, criteria=CRITERIA, broker=Broker(), invoker=invoker,
+                  service_id="svc", clock=iter(range(1, 1000)).__next__)
+
+
+def test_an_alert_on_a_component_kept_by_two_tasks_visits_instances_in_start_order(monkeypatch):
     # rule order puts t3 before t2, so the entries are read in that order
     rules = [tlc_rule(rule_id=f"r{k}", task=task, action=ActionKind.NOTIFY,
                       scope=Scope(kind=ScopeKind.AFTER_TASK, ref_task_id="t1"))
              for k, task in ((1, "t3"), (2, "t2"))]
     invoker = ScriptedInvoker(delays={"shared": 50})
-    svc = deploy(pm, reg, rules=rules, criteria=CRITERIA, broker=Broker(), invoker=invoker,
-                 service_id="svc", clock=iter(range(1, 1000)).__next__)
+    svc = _shared_service(rules, invoker)
     at_t2 = svc.start_instance({}, run=False)
     for _ in range(3):  # start, t1 done, t2 active on the shared component
         svc.step(at_t2)
@@ -765,7 +771,7 @@ def test_an_alert_on_a_component_kept_by_two_tasks_visits_instances_in_start_ord
     invoker.delays = {"shared": 50}
     svc.step(at_t3)  # t3 active on the shared component
     svc.act_recompose("shared")
-    assert _off_plan(svc) == {("t2", "shared"): [at_t2, at_t3], ("t3", "shared"): [at_t3]}
+    assert _filed(svc) == {("t2", "shared"): [at_t2, at_t3], ("t3", "shared"): [at_t3]}
     visited, matched = _reached(svc, "shared", 0.9, 1, monkeypatch)
     assert visited == [at_t2, at_t3]
     assert matched == [at_t2, at_t3, at_t3]  # r2 for at_t2, then r1 and r2 for at_t3
@@ -794,24 +800,8 @@ def test_finished_stopped_and_evicted_instances_leave_no_off_plan_entry():
 
 
 def test_plan_switch_rebinds_changed_not_started_tasks_in_instance_then_task_order():
-    pm = linear_model(n_tasks=3, wired=False)
-    # t2 and t3 share an operation, so one component can serve both
-    pm = replace(pm, nodes=tuple(replace(n, operation_ref="op") if n.id in ("t2", "t3") else n
-                                 for n in pm.nodes))
-
-    def component(cid, op, trust):
-        return ComponentDescriptor(id=cid, provider="prov", operation_ref=op,
-                                   trustworthiness=trust, latency_score=0.5, cost=1.0)
-
-    shared = component("shared", "op", 0.9)
-    reg = CandidateRegistry(entries=(
-        ("t1", (component("t1-c1", "op1", 0.9),)),
-        ("t2", (shared, component("t2-alt", "op", 0.5))),
-        ("t3", (shared, component("t3-alt", "op", 0.5))),
-    ))
     invoker = ScriptedInvoker(delays={"shared": 50})
-    svc = deploy(pm, reg, rules=[], criteria=CRITERIA, broker=Broker(), invoker=invoker,
-                 service_id="svc", clock=iter(range(1, 1000)).__next__)
+    svc = _shared_service([], invoker)
     assert svc.active_plan_id == "t1-c1+shared+shared"
     past_t1 = svc.start_instance({}, run=False)
     for _ in range(3):  # start, t1 done, t2 active on the shared component
