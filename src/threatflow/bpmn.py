@@ -6,6 +6,12 @@ and top-level error declarations. A boundary event stores the threat ID
 directly in the errorRef attribute of its errorEventDefinition; the error
 declaration carries the display name. Anything else is rejected by name.
 
+validate() requires exactly one start event, acyclic sequence flows, and
+each fork closed by one join that takes all of its branches. Forks may nest
+inside the branches of other forks, and no branch may reach an end event
+before its join. Every node is then reachable from the start, so
+reachability needs no check of its own.
+
 Models are immutable values, and a model value is validated once: its
 violations are kept on it, so parse, deploy and serialize check it a single
 time. parse/serialize round-trip to structural equality, and serialization
@@ -275,115 +281,49 @@ def _check(pm: ProcessModel) -> list[str]:
                     v.append(f"join gateway {n.id!r} must have >=2 in / 1 out flows, has {i}/{o}")
 
     if not v:
-        v.extend(_check_acyclic(pm))
-    if not v:
-        v.extend(_check_reachability(pm))
-        v.extend(_check_gateway_pairing(pm))
+        v.extend(_check_structure(pm))
     return v
 
 
-def _check_acyclic(pm: ProcessModel) -> list[str]:
-    """Runs after the id, endpoint and boundary checks pass, so the index's
-    topological order holds every node iff the flows are acyclic; the search
-    below only names a node on a cycle."""
-    if len(pm.index.order) == len(pm.nodes):
-        return []
-    succ = pm.index.successors
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in succ}
-    for root in succ:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GREY
-        while stack:
-            nid, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[nid] = BLACK
-                stack.pop()
-            elif color[nxt] == GREY:
-                return [f"cycle detected through node {nxt!r}"]
-            elif color[nxt] == WHITE:
-                color[nxt] = GREY
-                stack.append((nxt, iter(succ[nxt])))
-    return []
+def _check_structure(pm: ProcessModel) -> list[str]:
+    """Acyclic flows and fork/join pairing, in one pass over the index's
+    topological order. Runs after the id, endpoint, boundary and degree
+    checks pass, so the order holds every node iff the flows are acyclic.
+    Each flow carries the forks open on it: a fork opens itself, a join must
+    close the last one on every one of that fork's branches, and an end
+    event must see none open.
 
-
-def _check_reachability(pm: ProcessModel) -> list[str]:
+    Reachability needs no check of its own. With exactly one start, the
+    degree rules and acyclic flows, every node but the start has an incoming
+    flow, except an end event that only a boundary handler feeds; end events
+    have no outgoing flow, so a walk back along incoming flows from any node
+    ends at the start. A boundary event hangs on a service task, and a
+    handler-fed end hangs on a boundary event."""
     idx = pm.index
-    seen = set()
-    frontier = [pm.start_event().id]
-    while frontier:
-        nid = frontier.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        frontier.extend(idx.successors.get(nid, ()))
-        for b in idx.boundaries.get(nid, {}).values():
-            frontier += [b.id, b.handler_target]
-    return [
-        f"node {n.id!r} is unreachable from the start event"
-        for n in pm.nodes
-        if n.id not in seen and not isinstance(n, StartEvent)
-    ]
-
-
-def _check_gateway_pairing(pm: ProcessModel) -> list[str]:
-    """Every fork must converge on one matching join across all branches."""
+    if len(idx.order) != len(pm.nodes):
+        placed = {n.id for n in idx.order}
+        missing = sorted(n.id for n in pm.nodes if n.id not in placed)
+        return [f"flows cycle: nodes {', '.join(map(repr, missing))} lie on or after a cycle"]
     v: list[str] = []
-    nodes, succ, indeg = pm.index.nodes, pm.index.successors, pm.index.indegree
-    forks = [n for n in pm.nodes if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK]
-    joins = {n.id for n in pm.nodes if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.JOIN}
-
-    join_of: dict[str, str | None] = {}
-
-    def find_join(fork_id: str) -> str | None:
-        if fork_id in join_of:
-            return join_of[fork_id]
-        join_of[fork_id] = None  # guards (unreachable) recursion
-        found: set[str | None] = set()
-        for branch_head in succ[fork_id]:
-            found.add(_walk_branch(branch_head))
-        if len(found) == 1 and None not in found:
-            join = found.pop()
-            if indeg[join] != len(succ[fork_id]):
-                v.append(
-                    f"join {join!r} has {indeg[join]} incoming flows but fork "
-                    f"{fork_id!r} has {len(succ[fork_id])} branches"
-                )
-            join_of[fork_id] = join
-            return join
-        v.append(f"fork {fork_id!r} branches do not converge on a single join")
-        return None
-
-    def _walk_branch(node_id: str) -> str | None:
-        while True:
-            node = nodes[node_id]
-            if isinstance(node, ParallelGateway) and node.direction is GatewayDirection.JOIN:
-                return node_id
-            if isinstance(node, EndEvent):
-                return None
-            if isinstance(node, ParallelGateway) and node.direction is GatewayDirection.FORK:
-                inner = find_join(node_id)
-                if inner is None:
-                    return None
-                node_id = succ[inner][0]
-                continue
-            nxt = succ[node_id]
-            if len(nxt) != 1:
-                return None
-            node_id = nxt[0]
-
-    matched: set[str] = set()
-    for fork in forks:
-        j = find_join(fork.id)
-        if j is not None:
-            if j in matched:
-                v.append(f"join {j!r} matched by more than one fork")
-            matched.add(j)
-    for j in joins - matched:
-        v.append(f"join {j!r} has no matching fork")
+    open_forks: dict[str, list[tuple[str, ...]]] = {n.id: [] for n in pm.nodes}  # one per incoming flow
+    for n in idx.order:
+        if isinstance(n, ErrorBoundaryEvent):
+            continue
+        ins = open_forks[n.id]
+        out = ins[0] if ins else ()
+        if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK:
+            out += (n.id,)
+        elif isinstance(n, ParallelGateway):
+            branches = len(idx.successors[out[-1]]) if out else 0
+            if not out or any(t != out for t in ins):
+                v.append(f"join {n.id!r} does not close the branches of one fork")
+            elif len(ins) != branches:
+                v.append(f"join {n.id!r} has {len(ins)} incoming flows but fork {out[-1]!r} has {branches} branches")
+            out = out[:-1]
+        elif isinstance(n, EndEvent) and any(ins):
+            v.append(f"end event {n.id!r} ends a branch of fork {next(t for t in ins if t)[-1]!r} before its join")
+        for nxt in idx.successors[n.id]:
+            open_forks[nxt].append(out)
     return v
 
 

@@ -87,6 +87,11 @@ class Payload:
     value: str | None = None
 
 
+def _is_number(value) -> bool:
+    """An int or a float, and not a bool: what a numeric field accepts."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Notification:
     type: EventType
@@ -109,6 +114,12 @@ class Notification:
         for name, value in (("threatId", self.threat_id), ("payload value", self.payload.value)):
             if value is not None and not isinstance(value, str):
                 raise ValidationError(f"notification {name} {value!r} is not a string")
+        if isinstance(self.seq, bool) or not isinstance(self.seq, int):
+            raise ValidationError(f"notification seq {self.seq!r} is not an integer")
+        if not _is_number(self.timestamp):
+            raise ValidationError(f"notification timestamp {self.timestamp!r} is not a number")
+        if self.payload.probability is not None and not _is_number(self.payload.probability):
+            raise ValidationError(f"notification probability {self.payload.probability!r} is not a number")
         if not self.subject_component_id:
             raise ValidationError("notification subjectComponentId is empty")
         if "*" in self.subject_component_id or "." in self.subject_component_id:
@@ -166,8 +177,8 @@ class Notification:
                     probability=payload.get("probability"),
                     value=payload.get("value"),
                 ),
-                timestamp=float(rec["timestamp"]),
-                seq=int(rec["seq"]),
+                timestamp=float(ts) if _is_number(ts := rec["timestamp"]) else ts,  # validate refuses the rest
+                seq=rec["seq"],
                 publisher_id=rec["publisherId"],
                 threat_id=rec.get("threatId"),
             )
@@ -296,9 +307,6 @@ class SubscriptionHandle:
     subscriber_id: str
     topic_pattern: str
     _broker: "Broker" = field(repr=False, compare=False)
-
-    def poll(self, timeout: float | None = 0.0) -> Notification | None:
-        return self._broker.poll(self.subscriber_id, timeout)
 
 
 class Broker:

@@ -141,7 +141,6 @@ class MockComponentConfig:
     kind: str = "healthy"  # healthy | failWithError | delaySteps
     error_id: str | None = None
     steps: int = 0
-    fixture_key: str = ""
 
     def validate(self) -> None:
         if self.kind not in ("healthy", "failWithError", "delaySteps"):
@@ -163,7 +162,6 @@ def load_mocks(text: str) -> dict[str, MockComponentConfig]:
                 kind=behavior.get("kind", "healthy"),
                 error_id=behavior.get("errorId"),
                 steps=int(behavior.get("n", 0)),
-                fixture_key=rec.get("fixtureKey", ""),
             )
             cfg.validate()
             configs[comp_id] = cfg

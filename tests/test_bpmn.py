@@ -1,10 +1,13 @@
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from threatflow import bpmn
+from threatflow import bpmn, runtime
+from threatflow.bus import Broker
+from threatflow.composition import RankingCriteria
 from threatflow.errors import (
     ConflictError,
     NotFoundError,
@@ -13,7 +16,7 @@ from threatflow.errors import (
     ValidationError,
 )
 
-from _generators import random_process
+from _generators import random_process, random_registry
 
 
 def linear_model(n_tasks=2, pid="p1"):
@@ -373,3 +376,91 @@ def test_violations_are_kept_on_the_model_value():
     assert pm == twin and hash(pm) == hash(twin) and repr(pm) == repr(twin)
     broken = replace(pm, flows=pm.flows[1:])
     assert bpmn.validate(broken) == list(broken.violations) != []
+
+
+# --- structure: acyclic flows, and each fork closed by one join -------------
+
+def flow_model(edges, forks=(), joins=(), ends=("end",)):
+    """A model with a node for each name in edges, in order of first use:
+    'start' is the start event, forks and joins are parallel gateways, ends
+    are end events and every other name is a service task."""
+    def node(name):
+        if name == "start":
+            return bpmn.StartEvent(id=name)
+        if name in ends:
+            return bpmn.EndEvent(id=name)
+        if name in forks or name in joins:
+            direction = bpmn.GatewayDirection.FORK if name in forks else bpmn.GatewayDirection.JOIN
+            return bpmn.ParallelGateway(id=name, direction=direction)
+        return bpmn.ServiceTask(id=name, operation_ref=f"op-{name}")
+
+    names = dict.fromkeys(name for edge in edges for name in edge)
+    return bpmn.ProcessModel(
+        id="p",
+        nodes=tuple(map(node, names)),
+        flows=tuple(bpmn.SequenceFlow(f"f{k:02d}", a, b) for k, (a, b) in enumerate(edges)),
+    )
+
+
+def test_validate_rejects_a_cycle_the_degree_rules_allow():
+    pm = flow_model(
+        [("start", "join"), ("join", "t"), ("t", "fork"), ("fork", "join"), ("fork", "end")],
+        forks={"fork"}, joins={"join"},
+    )
+    assert bpmn.validate(pm) == ["flows cycle: nodes 'end', 'fork', 'join', 't' lie on or after a cycle"]
+
+
+def test_validate_rejects_a_fork_branch_that_reaches_an_end_event():
+    pm = flow_model([("start", "g"), ("g", "a"), ("g", "b"), ("a", "end"), ("b", "end")], forks={"g"})
+    assert bpmn.validate(pm) == ["end event 'end' ends a branch of fork 'g' before its join"]
+
+
+def test_validate_rejects_a_join_fed_by_branches_of_two_forks():
+    pm = flow_model(
+        [("start", "g1"), ("g1", "a"), ("g1", "g2"), ("g2", "b"), ("g2", "c"),
+         ("a", "j"), ("b", "j"), ("c", "j"), ("j", "end")],
+        forks={"g1", "g2"}, joins={"j"},
+    )
+    assert bpmn.validate(pm) == ["join 'j' does not close the branches of one fork"]
+
+
+def test_validate_rejects_a_fork_whose_branches_meet_at_two_joins():
+    pm = flow_model(
+        [("start", "g"), ("g", "a"), ("g", "b"), ("g", "c"), ("g", "d"),
+         ("a", "j1"), ("b", "j1"), ("c", "j2"), ("d", "j2"), ("j1", "end"), ("j2", "end")],
+        forks={"g"}, joins={"j1", "j2"},
+    )
+    assert bpmn.validate(pm) == [
+        "join 'j1' has 2 incoming flows but fork 'g' has 4 branches",
+        "join 'j2' has 2 incoming flows but fork 'g' has 4 branches",
+    ]
+
+
+class CountingInvoker(runtime.ComponentInvoker):
+    def __init__(self, delays):
+        self.delays, self.calls = delays, Counter()
+
+    def invoke(self, component_id, operation_ref, inputs):
+        self.calls[component_id] += 1
+        return component_id
+
+    def delay_steps(self, component_id, operation_ref):
+        return self.delays.get(component_id, 0)
+
+
+def test_nested_fork_validates_round_trips_and_runs_to_completion():
+    # the outer fork's second branch holds a fork/join of its own, one of
+    # whose branches is a task that takes three extra steps
+    pm = flow_model(
+        [("start", "g1"), ("g1", "a"), ("g1", "b"), ("b", "g2"), ("g2", "slow"), ("g2", "c"),
+         ("slow", "j2"), ("c", "j2"), ("a", "j1"), ("j2", "j1"), ("j1", "d"), ("d", "end")],
+        forks={"g1", "g2"}, joins={"j1", "j2"},
+    )
+    assert bpmn.validate(pm) == []
+    again = bpmn.parse_bpmn(bpmn.serialize(pm))
+    assert bpmn.structurally_equal(again, pm)
+    invoker = CountingInvoker(delays={"slow-c1": 3})
+    svc = runtime.deploy(again, random_registry(random.Random(0), again, max_candidates=1), rules=[],
+                         criteria=RankingCriteria(1.0, 0.0, 0.0), broker=Broker(), invoker=invoker)
+    assert svc.instances[svc.start_instance({})].outcome is runtime.Outcome.COMPLETED
+    assert invoker.calls == Counter({f"{t}-c1": 1 for t in ("a", "b", "c", "slow", "d")})

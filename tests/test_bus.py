@@ -153,6 +153,20 @@ def test_record_roundtrip_drops_null_payload_fields():
     assert Notification.from_record(json.loads(json.dumps(rec))) == n
 
 
+def test_publish_refuses_a_numeric_field_of_another_type():
+    broker = Broker()
+    broker.subscribe(Subscription("s1", "threat-level-change.*"))
+    for bad in (notification(seq=5.7), notification(seq="7"), notification(seq=True),
+                notification(ts="2.5"), notification(ts=None), notification(probability=True)):
+        with pytest.raises(ValidationError, match="is not an integer|is not a number"):
+            broker.publish(bad)
+    assert broker.publish(notification(seq=1, ts=1000)) == 1
+    rec = notification(seq=2).to_record()
+    rec["timestamp"] = 1000
+    assert Notification.from_record(rec).timestamp == 1000.0
+    assert broker.poll("s1").seq == 1 and broker.poll("s1") is None
+
+
 def test_server_client_roundtrip():
     server = BusServer().start()
     try:
@@ -378,7 +392,15 @@ def threads_since(before, *clients):
 
 def join_all(threads):
     for t in threads:
-        t.join(timeout=2)
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+                break
+            except RuntimeError:  # enumerate() lists a thread while another thread is still starting it
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.001)
     assert [t for t in threads if t.is_alive()] == []
 
 
@@ -578,6 +600,11 @@ def _malformed(field, value):
 @pytest.mark.parametrize("bad", [
     _malformed("seq", "x"),
     _malformed("seq", float("inf")),
+    _malformed("seq", 5.7),
+    _malformed("seq", "7"),
+    _malformed("seq", True),
+    _malformed("timestamp", "2.5"),
+    _malformed("probability", True),
     _malformed("payload", "x"),
     _malformed("probability", "hi"),
     _malformed("value", {"a": 1}),
@@ -586,7 +613,8 @@ def _malformed(field, value):
     _malformed("threatId", [1]),
     {"op": "SUB", "subscriberId": "sre-2", "topicPattern": 7},
     b'{"op": "PUB", "publisherId": "\xff"}\n',
-], ids=["seq", "seq-infinite", "payload", "probability", "value", "subject", "publisher",
+], ids=["seq", "seq-infinite", "seq-fraction", "seq-string", "seq-bool", "timestamp-string",
+        "probability-bool", "payload", "probability", "value", "subject", "publisher",
         "threat", "topic-pattern", "not-utf8"])
 def test_malformed_record_gets_an_error_reply_and_keeps_the_connection(bad, monkeypatch):
     raised = []

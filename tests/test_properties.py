@@ -8,10 +8,11 @@ from unittest import mock
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threatflow import bpmn, composition, runtime
+from threatflow.bpmn import EndEvent, GatewayDirection, ParallelGateway, ProcessModel, StartEvent
 from threatflow.bus import (
     Broker,
     EventType,
@@ -344,7 +345,7 @@ RULE_EVENT_TYPES = (EventType.THREAT_LEVEL_CHANGE, EventType.TRUSTWORTHINESS_CHA
 def alert_cases(draw):
     rng = draw(st.randoms(use_true_random=False))
     pm = random_process(rng, max_tasks=4, threat_pool=ALERT_THREATS)
-    reg = random_registry(rng, pm)
+    reg = random_registry(rng, pm, min_candidates=2)  # a switch off any one component finds a plan
     task_ids = [t.id for t in pm.service_tasks()]
     components = sorted({c.id for t in task_ids for c in reg.candidates(t)})
     rules = []
@@ -367,17 +368,24 @@ def alert_cases(draw):
             predicate=draw(st.none() | st.builds(
                 Predicate, st.sampled_from(list(Comparator)), st.sampled_from([0.2, 0.5, 0.8]))),
         ))
-    delays = draw(st.dictionaries(st.sampled_from(components), st.integers(1, 3), max_size=3))
+    # most components take extra steps, so started tasks stay active
+    delays = {c: d for c in components if (d := draw(st.integers(0, 3)))}
     faults = draw(st.dictionaries(st.sampled_from(components), st.sampled_from([*ALERT_THREATS, "T-OTHER"]),
                                   max_size=1))
     start = st.tuples(st.just("start"), st.booleans())
-    alert = st.tuples(st.just("alert"), st.sampled_from(RULE_EVENT_TYPES), st.integers(0, len(components)),
-                      st.sampled_from(ALERT_THREATS), st.sampled_from([0.1, 0.5, 0.9]))
-    # a few instances are live from the start; starts and alerts weigh
-    # double; a stop op stops the service one time in five
-    ops = [("start", False)] * draw(st.integers(1, 3)) + draw(st.lists(
-        start | alert | start | alert
-        | st.tuples(st.just("step"), st.integers(0, 9), st.integers(1, 4))
+    event_types, threats = st.sampled_from(RULE_EVENT_TYPES), st.sampled_from(ALERT_THREATS)
+    levels = st.sampled_from([0.1, 0.5, 0.9])
+    alert = st.tuples(st.just("alert"), event_types, st.integers(0, len(components)), threats, levels)
+    step = st.tuples(st.just("step"), st.integers(0, 9), st.integers(1, 6))
+    # a switch flags what the plan binds to a task, then alerts on it: the
+    # live instances that started the task keep it off the plan
+    switch = st.tuples(st.just("switch"), st.integers(0, len(task_ids) - 1), event_types, threats, levels)
+    # a few instances are live from the start and step into their tasks;
+    # starts, alerts and switches weigh double and steps triple; a stop op
+    # stops the service one time in five
+    ops = [("start", False)] * draw(st.integers(1, 3)) + draw(st.lists(step, min_size=1, max_size=4))
+    ops += draw(st.lists(
+        start | alert | step | switch | start | alert | step | switch | step
         | st.tuples(st.just("recompose"), st.sampled_from(components))
         | st.tuples(st.just("stop"), st.integers(0, 4)),
         min_size=4,
@@ -419,6 +427,10 @@ def _apply(svc, op, seq, components):
             ))
         if kind == "recompose":
             return svc.act_recompose(op[1])
+        if kind == "switch":
+            _, flagged = svc.active_plan().bindings[op[1]]
+            alert = ("alert", op[2], components.index(flagged), op[3], op[4])
+            return svc.act_recompose(flagged), _apply(svc, alert, seq, components)
         if op[1] == 0:
             svc.act_stop()
         return None
@@ -598,3 +610,248 @@ def test_candidate_table_one_task_scores_equal_the_score_formula(profiles, weigh
     for _, scored, _ in table.rows:
         for score, c in scored:
             assert score.hex() == composition._score([c], criteria, table.max_mean_cost).hex()
+
+
+# --- the one-pass structure check against the three walks it replaced -------
+
+def _check_acyclic(pm: ProcessModel) -> list[str]:
+    """Runs after the id, endpoint and boundary checks pass, so the index's
+    topological order holds every node iff the flows are acyclic; the search
+    below only names a node on a cycle."""
+    if len(pm.index.order) == len(pm.nodes):
+        return []
+    succ = pm.index.successors
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {nid: WHITE for nid in succ}
+    for root in succ:
+        if color[root] != WHITE:
+            continue
+        stack = [(root, iter(succ[root]))]
+        color[root] = GREY
+        while stack:
+            nid, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                color[nid] = BLACK
+                stack.pop()
+            elif color[nxt] == GREY:
+                return [f"cycle detected through node {nxt!r}"]
+            elif color[nxt] == WHITE:
+                color[nxt] = GREY
+                stack.append((nxt, iter(succ[nxt])))
+    return []
+
+
+def _check_reachability(pm: ProcessModel) -> list[str]:
+    idx = pm.index
+    seen = set()
+    frontier = [pm.start_event().id]
+    while frontier:
+        nid = frontier.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        frontier.extend(idx.successors.get(nid, ()))
+        for b in idx.boundaries.get(nid, {}).values():
+            frontier += [b.id, b.handler_target]
+    return [
+        f"node {n.id!r} is unreachable from the start event"
+        for n in pm.nodes
+        if n.id not in seen and not isinstance(n, StartEvent)
+    ]
+
+
+def _check_gateway_pairing(pm: ProcessModel) -> list[str]:
+    """Every fork must converge on one matching join across all branches."""
+    v: list[str] = []
+    nodes, succ, indeg = pm.index.nodes, pm.index.successors, pm.index.indegree
+    forks = [n for n in pm.nodes if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK]
+    joins = {n.id for n in pm.nodes if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.JOIN}
+
+    join_of: dict[str, str | None] = {}
+
+    def find_join(fork_id: str) -> str | None:
+        if fork_id in join_of:
+            return join_of[fork_id]
+        join_of[fork_id] = None  # guards (unreachable) recursion
+        found: set[str | None] = set()
+        for branch_head in succ[fork_id]:
+            found.add(_walk_branch(branch_head))
+        if len(found) == 1 and None not in found:
+            join = found.pop()
+            if indeg[join] != len(succ[fork_id]):
+                v.append(
+                    f"join {join!r} has {indeg[join]} incoming flows but fork "
+                    f"{fork_id!r} has {len(succ[fork_id])} branches"
+                )
+            join_of[fork_id] = join
+            return join
+        v.append(f"fork {fork_id!r} branches do not converge on a single join")
+        return None
+
+    def _walk_branch(node_id: str) -> str | None:
+        while True:
+            node = nodes[node_id]
+            if isinstance(node, ParallelGateway) and node.direction is GatewayDirection.JOIN:
+                return node_id
+            if isinstance(node, EndEvent):
+                return None
+            if isinstance(node, ParallelGateway) and node.direction is GatewayDirection.FORK:
+                inner = find_join(node_id)
+                if inner is None:
+                    return None
+                node_id = succ[inner][0]
+                continue
+            nxt = succ[node_id]
+            if len(nxt) != 1:
+                return None
+            node_id = nxt[0]
+
+    matched: set[str] = set()
+    for fork in forks:
+        j = find_join(fork.id)
+        if j is not None:
+            if j in matched:
+                v.append(f"join {j!r} matched by more than one fork")
+            matched.add(j)
+    for j in joins - matched:
+        v.append(f"join {j!r} has no matching fork")
+    return v
+
+
+def _reference_structure(pm):
+    """What validate() reported once the id, flow, boundary and degree
+    checks passed, before one pass over the topological order replaced
+    these three walks; reachability ran only on acyclic flows."""
+    return _check_acyclic(pm) or _check_reachability(pm) + _check_gateway_pairing(pm)
+
+
+@st.composite
+def degree_valid_graphs(draw):
+    """Flows between the out- and in-slots that the degree rules give each
+    node, matched at random or, half the time, forward along a random
+    ranking where it can, so that acyclic graphs are common; sometimes an
+    end event that only a boundary handler feeds."""
+    nodes = [bpmn.StartEvent(id="start")]
+    outs, ins = ["start"], []
+    for i in range(draw(st.integers(0, 4))):
+        nodes.append(bpmn.ServiceTask(id=f"t{i}"))
+        outs.append(f"t{i}")
+        ins.append(f"t{i}")
+    for i in range(draw(st.integers(0, 3))):
+        nodes.append(bpmn.ParallelGateway(id=f"g{i}f", direction=GatewayDirection.FORK))
+        outs += [f"g{i}f"] * draw(st.integers(2, 4))
+        ins.append(f"g{i}f")
+    for i in range(draw(st.integers(0, 3))):
+        nodes.append(bpmn.ParallelGateway(id=f"g{i}j", direction=GatewayDirection.JOIN))
+        outs.append(f"g{i}j")
+        ins += [f"g{i}j"] * draw(st.integers(2, 4))
+    if len(outs) <= len(ins):  # one more fork leaves a flow over for an end event
+        nodes.append(bpmn.ParallelGateway(id="gxf", direction=GatewayDirection.FORK))
+        outs += ["gxf"] * (len(ins) - len(outs) + 2)
+        ins.append("gxf")
+    rank = {nid: k for k, nid in enumerate(draw(st.permutations([n.id for n in nodes[1:]])), start=1)}
+    rank["start"] = 0
+    surplus = len(outs) - len(ins)
+    first = draw(st.integers(1, surplus))
+    nodes.append(bpmn.EndEvent(id="end"))
+    ins += ["end"] * first + ["end2"] * (surplus - first)
+    if surplus > first:
+        nodes.append(bpmn.EndEvent(id="end2"))
+    forward = draw(st.booleans())
+    flows = []
+    for a in sorted(outs, key=rank.__getitem__, reverse=True):
+        later = [b for b in ins if rank.get(b, len(nodes)) > rank[a]] if forward else []
+        b = draw(st.sampled_from(later or ins))
+        ins.remove(b)
+        flows.append(bpmn.SequenceFlow(f"f{len(flows):02d}", a, b))
+    pm = bpmn.ProcessModel(id="p", nodes=tuple(nodes), flows=tuple(flows))
+    tasks = [n.id for n in nodes if isinstance(n, bpmn.ServiceTask)]
+    if tasks and draw(st.booleans()):
+        pm = replace(pm, nodes=pm.nodes + (bpmn.EndEvent(id="end-h"),))
+        pm = bpmn.attach_threat(pm, draw(st.sampled_from(tasks)), "T1", handler_target="end-h")
+    return pm
+
+
+@st.composite
+def nested_models(draw):
+    """Valid structured models: sequences of tasks and forks whose branches
+    are sequences again, nested up to three deep, with 2-4 branches, some
+    branches empty, and boundary handlers to any node."""
+    nodes, flows, ids = [bpmn.StartEvent(id="start")], [], itertools.count()
+
+    def link(a, b):
+        flows.append(bpmn.SequenceFlow(f"f{next(ids):03d}", a, b))
+
+    def sequence(prev, depth, least):
+        for _ in range(draw(st.integers(least, 3))):
+            k = next(ids)
+            if depth < 3 and draw(st.booleans()):
+                fork, join = f"g{k}f", f"g{k}j"
+                nodes.append(bpmn.ParallelGateway(id=fork, direction=GatewayDirection.FORK))
+                link(prev, fork)
+                branch_ends = [sequence(fork, depth + 1, 0) for _ in range(draw(st.integers(2, 4)))]
+                nodes.append(bpmn.ParallelGateway(id=join, direction=GatewayDirection.JOIN))
+                for end in branch_ends:
+                    link(end, join)
+                prev = join
+            else:
+                nodes.append(bpmn.ServiceTask(id=f"t{k}"))
+                link(prev, f"t{k}")
+                prev = f"t{k}"
+        return prev
+
+    link(sequence("start", 0, 1), "end")
+    nodes.append(bpmn.EndEvent(id="end"))
+    if draw(st.booleans()):
+        nodes.append(bpmn.EndEvent(id="end-h"))
+    pm = bpmn.ProcessModel(id="p", nodes=tuple(nodes), flows=tuple(flows))
+    targets = [n.id for n in nodes if not isinstance(n, bpmn.StartEvent)]
+    tasks = [n.id for n in pm.service_tasks()]
+    for task in draw(st.lists(st.sampled_from(tasks), unique=True, max_size=3)) if tasks else ():
+        pm = bpmn.attach_threat(pm, task, "T1", handler_target=draw(st.sampled_from(targets)))
+    if "end-h" in targets and all(b.handler_target != "end-h" for b in pm.boundary_events()):
+        pm = replace(pm, nodes=tuple(n for n in pm.nodes if n.id != "end-h"))
+    return pm
+
+
+@st.composite
+def flow_swap_mutants(draw):
+    """A nested model with the targets of 1-3 pairs of flows swapped, which
+    keeps every node's in- and out-degree."""
+    pm = draw(nested_models())
+    targets = [f.to_node for f in pm.flows]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(0, len(targets) - 1)), draw(st.integers(0, len(targets) - 1))
+        targets[a], targets[b] = targets[b], targets[a]
+    return replace(pm, flows=tuple(replace(f, to_node=t) for f, t in zip(pm.flows, targets)))
+
+
+# two joins each close two of a fork's four branches: every flow into each
+# join carries the same open fork, so only the branch count rejects it
+FORK_CLOSED_BY_TWO_JOINS = bpmn.ProcessModel(
+    id="p",
+    nodes=(
+        bpmn.StartEvent(id="start"),
+        bpmn.ParallelGateway(id="g", direction=GatewayDirection.FORK),
+        bpmn.ParallelGateway(id="j1", direction=GatewayDirection.JOIN),
+        bpmn.ParallelGateway(id="j2", direction=GatewayDirection.JOIN),
+        bpmn.EndEvent(id="end"),
+    ),
+    flows=tuple(bpmn.SequenceFlow(f"f{k}", a, b) for k, (a, b) in enumerate([
+        ("start", "g"), ("g", "j1"), ("g", "j1"), ("g", "j2"), ("g", "j2"), ("j1", "end"), ("j2", "end"),
+    ])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pm=degree_valid_graphs() | nested_models() | flow_swap_mutants())
+@example(pm=FORK_CLOSED_BY_TWO_JOINS)
+def test_structure_check_matches_the_three_reference_walks(pm):
+    assume(all(f.from_node != f.to_node for f in pm.flows))  # a self-loop fails an earlier check
+    problems = bpmn.validate(pm)
+    assert problems == bpmn._check_structure(pm)  # every earlier check passes
+    reference = _reference_structure(pm)
+    assert bool(problems) == bool(reference), (problems, reference)
+    if not _check_acyclic(pm):
+        assert _check_reachability(pm) == []

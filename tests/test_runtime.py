@@ -822,8 +822,8 @@ def test_plan_switch_rebinds_changed_not_started_tasks_in_instance_then_task_ord
 def test_parse_deploy_serialize_checks_the_graph_once(monkeypatch):
     doc = bpmn.serialize(linear_model())
     calls = []
-    check = bpmn._check_reachability
-    monkeypatch.setattr(bpmn, "_check_reachability", lambda pm: calls.append(pm) or check(pm))
+    check = bpmn._check_structure
+    monkeypatch.setattr(bpmn, "_check_structure", lambda pm: calls.append(pm) or check(pm))
     pm = bpmn.parse_bpmn(doc)
     deploy(pm, registry_for(pm), rules=[], criteria=CRITERIA, broker=Broker(), invoker=ScriptedInvoker())
     assert bpmn.serialize(pm) == doc
