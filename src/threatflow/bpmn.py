@@ -10,7 +10,9 @@ validate() requires exactly one start event, acyclic sequence flows, and
 each fork closed by one join that takes all of its branches. Forks may nest
 inside the branches of other forks, and no branch may reach an end event
 before its join. Every node is then reachable from the start, so
-reachability needs no check of its own.
+reachability needs no check of its own. A boundary handler may not target
+a boundary event, nor a node from which its task can be reached again
+along flows and handler edges, so handlers close no cycle either.
 
 Models are immutable values, and a model value is validated once: its
 violations are kept on it, so parse, deploy and serialize check it a single
@@ -282,6 +284,8 @@ def _check(pm: ProcessModel) -> list[str]:
 
     if not v:
         v.extend(_check_structure(pm))
+    if not v:
+        v.extend(_check_handlers(pm, boundaries))
     return v
 
 
@@ -324,6 +328,31 @@ def _check_structure(pm: ProcessModel) -> list[str]:
             v.append(f"end event {n.id!r} ends a branch of fork {next(t for t in ins if t)[-1]!r} before its join")
         for nxt in idx.successors[n.id]:
             open_forks[nxt].append(out)
+    return v
+
+
+def _check_handlers(pm: ProcessModel, boundaries: list[ErrorBoundaryEvent]) -> list[str]:
+    """No boundary handler closes a cycle; serialize writes each one as a
+    sequence flow. A handler may not target a boundary event, nor a node
+    from which its task can be reached along flows and handler edges (task
+    to handler target). Runs once the flows alone are known to be acyclic."""
+    idx = pm.index
+    succ = {nid: list(nxt) for nid, nxt in idx.successors.items()}
+    for b in boundaries:
+        succ[b.attached_to].append(b.handler_target)
+    v: list[str] = []
+    for b in boundaries:
+        if isinstance(idx.nodes[b.handler_target], ErrorBoundaryEvent):
+            v.append(f"boundary event {b.id!r} handler targets boundary event {b.handler_target!r}")
+            continue
+        seen, frontier = set(), [b.handler_target]
+        while frontier and b.attached_to not in seen:
+            nid = frontier.pop()
+            if nid not in seen:
+                seen.add(nid)
+                frontier.extend(succ[nid])
+        if b.attached_to in seen:
+            v.append(f"boundary event {b.id!r} handler target {b.handler_target!r} leads back to task {b.attached_to!r}")
     return v
 
 

@@ -14,7 +14,9 @@ The same broker core runs in-process or behind a TCP server speaking
 newline-delimited UTF-8 JSON records with op in {SUB, UNSUB, PUB, MSG,
 ACKCOUNT}. A connection costs one reader thread and, once it SUBs, one
 writer, however many ids it holds; the newest SUB of an id takes it over.
-A malformed record gets an error ACKCOUNT and leaves the connection up.
+A malformed record gets an error ACKCOUNT and leaves the connection up;
+so does a record longer than MAX_RECORD_BYTES, which is read in bounded
+pieces and dropped, never buffered whole.
 
 A queue's offer, and a poll that finds an item or does not wait, take no
 lock; a poll takes one only to wait. Offers to one queue are serialized by
@@ -45,6 +47,7 @@ from .errors import BusError, ValidationError, reading
 log = logging.getLogger(__name__)
 
 DEFAULT_QUEUE_CAPACITY = 4096
+MAX_RECORD_BYTES = 1 << 20  # of one wire record, before its newline
 _NOTIFICATION_RECORD = reading("notification")  # built once: from_record runs per PUB and per MSG
 
 
@@ -465,6 +468,18 @@ def decode_record(line: str | bytes) -> dict:
     return rec
 
 
+def _read_line(reader) -> bytes:
+    """The next line of a wire stream, b"" at its end. A line of more than
+    MAX_RECORD_BYTES before its newline raises BusError once the rest of it
+    has been read in bounded pieces and dropped."""
+    line = reader.readline(MAX_RECORD_BYTES + 1)
+    if len(line) <= MAX_RECORD_BYTES or line.endswith(b"\n"):
+        return line
+    while line and not line.endswith(b"\n"):
+        line = reader.readline(MAX_RECORD_BYTES + 1)
+    raise BusError(f"wire record longer than {MAX_RECORD_BYTES} bytes")
+
+
 class BusServer:
     """TCP front-end over a Broker. Each connection has a reader thread and,
     from its first SUB, a writer draining the connection's outbox as MSG
@@ -542,12 +557,13 @@ class BusServer:
 
         try:
             with conn.makefile("rb") as reader:  # decode_record decodes each line
-                for line in reader:
-                    if line.isspace():
-                        continue
+                while True:
                     try:
-                        rec = decode_record(line)
-                        self._handle_record(rec, send, outbox, held)
+                        if not (line := _read_line(reader)):
+                            break
+                        if line.isspace():
+                            continue
+                        self._handle_record(decode_record(line), send, outbox, held)
                     except (BusError, ValidationError) as exc:
                         send({"op": "ACKCOUNT", "count": -1, "error": str(exc)})
                     if held and writer is None:  # a publish-only connection keeps one thread
@@ -627,10 +643,12 @@ class BusClient:
 
     def _read_loop(self) -> None:
         try:
-            for line in self._reader:
-                if line.isspace():
-                    continue
+            while True:
                 try:
+                    if not (line := _read_line(self._reader)):
+                        break
+                    if line.isspace():
+                        continue
                     rec = decode_record(line)
                 except BusError as exc:
                     log.warning("dropping wire record: %s", exc)

@@ -1,9 +1,10 @@
 """Shared exception hierarchy, and how outside input becomes an error.
 
-Every error type maps to a distinct CLI exit code (see cli.EXIT_CODES), so
-new exceptions must be added there as well. Outside input is read through
-`read_text`, `parse_json` and `reading`, so malformed input raises one of
-these errors, never a bare Python one.
+Each error class carries how it surfaces: `exit_code` is the CLI's exit
+status for it and `http_status` the repository routes' reply; a class that
+sets neither inherits 1 and 500 from ThreatflowError. Outside input is read
+through `read_text`, `parse_json` and `reading`, so malformed input raises
+one of these errors, never a bare Python one.
 """
 
 import json
@@ -12,22 +13,32 @@ import os
 
 class ThreatflowError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
+    http_status = 500
 
 
 class ValidationError(ThreatflowError):
     """An input violates a declared invariant."""
+    exit_code = 2
+    http_status = 400
 
 
 class NotFoundError(ThreatflowError):
     """A referenced record or node does not exist."""
+    exit_code = 3
+    http_status = 404
 
 
 class ConflictError(ThreatflowError):
     """A write conflicts with existing state (duplicate id, duplicate pair)."""
+    exit_code = 4
+    http_status = 409
 
 
 class ParseError(ThreatflowError):
     """A document could not be parsed."""
+    exit_code = 5
+    http_status = 400
 
     def __init__(self, message: str, position: tuple[int, int] | None = None):
         if position is not None:
@@ -38,6 +49,7 @@ class ParseError(ThreatflowError):
 
 class UnsupportedConstructError(ThreatflowError):
     """A document uses elements outside the supported subset."""
+    exit_code = 6
 
     def __init__(self, elements: list[str]):
         self.elements = sorted(set(elements))
@@ -46,34 +58,42 @@ class UnsupportedConstructError(ThreatflowError):
 
 class DanglingReferenceError(ThreatflowError):
     """A document contains a cross-reference that does not resolve."""
+    exit_code = 7
 
 
 class MissingCandidatesError(ThreatflowError):
     """A service task has no registered component candidates."""
+    exit_code = 8
 
 
 class PlanCountExceededError(ThreatflowError):
     """Exhaustive plan enumeration would exceed the configured ceiling."""
+    exit_code = 9
 
 
 class EmptyInputError(ThreatflowError):
     """An operation that requires a non-empty input received an empty one."""
+    exit_code = 10
 
 
 class DerivationError(ThreatflowError):
     """Subscription derivation failed for a rule."""
+    exit_code = 11
 
 
 class EvaluationError(ThreatflowError):
     """A rule could not be evaluated against a malformed notification."""
+    exit_code = 12
 
 
 class DeploymentError(ThreatflowError):
     """A service could not be deployed."""
+    exit_code = 13
 
 
 class BusError(ThreatflowError):
     """The notification bus rejected a request or is unreachable."""
+    exit_code = 14
 
 
 class ComponentFault(ThreatflowError):

@@ -271,14 +271,6 @@ class Repository:
 
 # --- HTTP front-end -----------------------------------------------------------
 
-_HTTP_STATUS = {
-    ValidationError: 400,
-    ParseError: 400,
-    NotFoundError: 404,
-    ConflictError: 409,
-}
-
-
 class _RepoHandler(BaseHTTPRequestHandler):
     repo: Repository  # set by make_server
 
@@ -294,7 +286,7 @@ class _RepoHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _fail(self, exc: Exception) -> None:
-        status = _HTTP_STATUS.get(type(exc), 500)
+        status = getattr(exc, "http_status", 500)  # an error that is not a ThreatflowError is a 500
         self._reply(status, {"error": type(exc).__name__, "message": str(exc)})
 
     def _body(self) -> str:
@@ -306,55 +298,40 @@ class _RepoHandler(BaseHTTPRequestHandler):
         except UnicodeDecodeError as exc:
             raise ParseError(f"request body is not UTF-8 text: {exc}") from None
 
-    def do_GET(self):
+    def _route(self) -> None:
+        """Every route: a reply of 200, or the error's status via _fail."""
         url = urlparse(self.path)
         parts = [unquote(p) for p in url.path.strip("/").split("/") if p]
         try:
-            if parts == ["threats"]:
-                qs = parse_qs(url.query)
-                with reading("query"):
-                    q = ThreatQuery(
-                        name_substring=qs["name"][0] if "name" in qs else None,
-                        threat_class=ThreatClass(qs["class"][0]) if "class" in qs else None,
-                        domain=qs["domain"][0] if "domain" in qs else None,
-                    )
-                self._reply(200, [t.to_record() for t in self.repo.search(q)])
-            elif len(parts) == 2 and parts[0] == "threats":
-                self._reply(200, self.repo.get_threat(parts[1]).to_record())
-            elif len(parts) == 3 and parts[0] == "threats" and parts[2] == "countermeasures":
-                cms = self.repo.list_countermeasures(parts[1])
-                self._reply(200, [cm.to_record() for cm in cms])
-            else:
-                self._reply(404, {"error": "NotFoundError", "message": f"no route {url.path}"})
+            match self.command, parts:
+                case "GET", ["threats"]:
+                    qs = parse_qs(url.query)
+                    with reading("query"):
+                        q = ThreatQuery(
+                            name_substring=qs["name"][0] if "name" in qs else None,
+                            threat_class=ThreatClass(qs["class"][0]) if "class" in qs else None,
+                            domain=qs["domain"][0] if "domain" in qs else None,
+                        )
+                    self._reply(200, [t.to_record() for t in self.repo.search(q)])
+                case "GET", ["threats", threat_id]:
+                    self._reply(200, self.repo.get_threat(threat_id).to_record())
+                case "GET", ["threats", threat_id, "countermeasures"]:
+                    self._reply(200, [cm.to_record() for cm in self.repo.list_countermeasures(threat_id)])
+                case "PUT", ["threats", threat_id]:
+                    t = Threat.from_record(parse_json(self._body(), "request body"))
+                    if t.id != threat_id:
+                        raise ValidationError(f"body id {t.id!r} does not match route id {threat_id!r}")
+                    replace_flag = parse_qs(url.query).get("replace", ["false"])[0].lower() == "true"
+                    self._reply(200, {"id": self.repo.put_threat(t, replace=replace_flag)})
+                case "POST", _ if url.path.rstrip("/") == "/import":
+                    pm = bpmn.parse_bpmn(self._body())
+                    self._reply(200, {"added": self.repo.import_from_model(pm)})
+                case _:
+                    raise NotFoundError(f"no route {url.path}")
         except Exception as exc:  # noqa: BLE001 - all errors become HTTP replies
             self._fail(exc)
 
-    def do_PUT(self):
-        url = urlparse(self.path)
-        parts = [unquote(p) for p in url.path.strip("/").split("/") if p]
-        try:
-            if len(parts) == 2 and parts[0] == "threats":
-                t = Threat.from_record(parse_json(self._body(), "request body"))
-                if t.id != parts[1]:
-                    raise ValidationError(f"body id {t.id!r} does not match route id {parts[1]!r}")
-                qs = parse_qs(url.query)
-                replace_flag = qs.get("replace", ["false"])[0].lower() == "true"
-                self._reply(200, {"id": self.repo.put_threat(t, replace=replace_flag)})
-            else:
-                self._reply(404, {"error": "NotFoundError", "message": f"no route {url.path}"})
-        except Exception as exc:  # noqa: BLE001
-            self._fail(exc)
-
-    def do_POST(self):
-        url = urlparse(self.path)
-        try:
-            if url.path.rstrip("/") == "/import":
-                pm = bpmn.parse_bpmn(self._body())
-                self._reply(200, {"added": self.repo.import_from_model(pm)})
-            else:
-                self._reply(404, {"error": "NotFoundError", "message": f"no route {url.path}"})
-        except Exception as exc:  # noqa: BLE001
-            self._fail(exc)
+    do_GET = do_PUT = do_POST = _route
 
 
 def make_server(repo: Repository, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:

@@ -490,15 +490,14 @@ class DeployedService:
 
     # -- notification handling
 
-    def drain_notifications(self, timeout: float = 0.0) -> int:
-        """Process everything queued for this service's subscriptions, FIFO."""
+    def drain_notifications(self) -> int:
+        """Process everything queued for this service's subscriptions, FIFO,
+        without waiting for more."""
         processed = 0
-        while True:
-            n = self.broker.poll(self.service_id, timeout if processed == 0 else 0.0)
-            if n is None:
-                return processed
+        while (n := self.broker.poll(self.service_id)) is not None:
             self.on_notification(n)
             processed += 1
+        return processed
 
     def on_notification(self, n: Notification) -> list[dict]:
         with self._lock:

@@ -664,6 +664,43 @@ def test_client_reader_skips_a_record_it_cannot_decode(monkeypatch):
     assert raised == []
 
 
+def test_overlong_record_gets_one_error_reply_and_keeps_the_connection():
+    server = BusServer().start()
+    raw = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    lines = raw.makefile("rb")
+    good = notification(seq=2).to_record()
+    good["op"] = "PUB"
+    at_the_bound = json.dumps(good).encode().ljust(bus.MAX_RECORD_BYTES)  # JSON allows trailing spaces
+    try:
+        raw.sendall(b"x" * (bus.MAX_RECORD_BYTES + 1) + b"\n")
+        assert json.loads(lines.readline()) == {
+            "op": "ACKCOUNT", "count": -1, "error": f"wire record longer than {bus.MAX_RECORD_BYTES} bytes",
+        }
+        raw.sendall(at_the_bound + b"\n")
+        assert json.loads(lines.readline()) == {"op": "ACKCOUNT", "count": 0}  # the next reply is the PUB's
+    finally:
+        lines.close()
+        raw.close()
+        server.stop()
+
+
+def test_client_reader_skips_an_overlong_record(monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+
+    def reply(rec):
+        return [b"x" * (2 * bus.MAX_RECORD_BYTES + 5) + b"\n", {"op": "ACKCOUNT", "count": 1}]
+
+    server = FakeBusServer(reply)
+    client = BusClient("127.0.0.1", server.port, timeout=2.0)
+    try:
+        assert client.publish(notification(seq=1)) == 1
+    finally:
+        client.close()
+        server.close()
+    assert raised == []
+
+
 def test_close_releases_the_reader_file_and_ends_its_thread():
     server = BusServer().start()
     client = BusClient("127.0.0.1", server.port)

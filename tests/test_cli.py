@@ -1,7 +1,11 @@
+import argparse
 import json
+import os
+import select
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -268,3 +272,177 @@ def test_malformed_input_exits_with_its_code_and_a_one_line_diagnostic(tmp_path,
     )
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+# --- exact output pins: stdout, stderr and exit code, as text and as --json ---------
+
+SKIPPED = "threat 'T-AG-DOS' targets 'a-swim' which is not mapped to a task; skipped"
+UNHANDLED = "component 'geo-1' failed with unhandled error 'T-BOOM'"
+
+
+def _repo_with_countermeasures(tmp):
+    path = tmp / "repo.json"
+    path.write_text(json.dumps({
+        "threats": [{"id": "T-X", "name": "X threat", "class": "business"}],
+        "countermeasures": [
+            {"id": "cm-2", "threatId": "T-X", "title": "Second", "rankScore": 0.4},
+            {"id": "cm-1", "threatId": "T-X", "title": "First", "format": "link", "rankScore": 0.9},
+        ],
+    }))
+    return str(path)
+
+
+def _failing_bundle(tmp):
+    mocks = json.loads((DEMO_BUNDLE_DIR / "mocks.json").read_text())
+    mocks["components"]["geo-1"]["behavior"] = {"kind": "failWithError", "errorId": "T-BOOM"}
+    return _bundle_with(tmp, "mocks.json", json.dumps(mocks).encode())
+
+
+def _bundle_over_the_plan_ceiling(tmp):
+    registry = json.loads((DEMO_BUNDLE_DIR / "components.registry").read_text())
+    for task, candidates in registry["tasks"].items():  # 7 ** 5 plans
+        registry["tasks"][task] = [dict(candidates[0], id=f"{task}-{k}") for k in range(7)]
+    return _bundle_with(tmp, "components.registry", json.dumps(registry).encode())
+
+
+def _rename_on_serialize(monkeypatch):
+    real = cli.bpmn.serialize
+    monkeypatch.setattr(cli.bpmn, "serialize", lambda pm: real(replace(pm, name="renamed")))
+
+
+# name: (argv, setup, exit code, text stdout, --json stdout, stderr)
+PINS = {
+    "repo-add-countermeasures": (
+        lambda tmp: ["repo", "add", "--repo", str(tmp / "repo.json"), "--file", _file_with(tmp, "doc.json", json.dumps({
+            "threats": [{"id": "T-X", "name": "X threat", "class": "business"}],
+            "countermeasures": [{"id": "cm-1", "threatId": "T-X", "title": "First", "rankScore": 0.9}],
+        }).encode())],
+        None, 0,
+        "stored 1 threat(s): T-X\n",
+        '{"ids": ["T-X"], "record": "added"}\n',
+        "",
+    ),
+    "repo-countermeasures": (
+        lambda tmp: ["repo", "countermeasures", "T-X", "--repo", _repo_with_countermeasures(tmp)],
+        None, 0,
+        "cm-1  rank=0.9   [link]  First\ncm-2  rank=0.4   [text]  Second\n2 countermeasure(s)\n",
+        '{"description": "", "format": "link", "id": "cm-1", "rankScore": 0.9, "record": "countermeasure",'
+        ' "threatId": "T-X", "title": "First"}\n'
+        '{"description": "", "format": "text", "id": "cm-2", "rankScore": 0.4, "record": "countermeasure",'
+        ' "threatId": "T-X", "title": "Second"}\n',
+        "",
+    ),
+    "model-roundtrip-diff": (
+        lambda tmp: ["model", "roundtrip", PROCESS],
+        _rename_on_serialize, 1,
+        "process name 'Airport report' != 'renamed'\n",
+        "process name 'Airport report' != 'renamed'\n",
+        "",
+    ),
+    "srs2bpmn-stdout-warning": (
+        lambda tmp: ["transform", "srs2bpmn", str(FIXTURES / "demo.srs"),
+                     "--map", "tx-map=Deliver map", "--select", "T-AG-DOS@a-swim"],
+        None, 0,
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" xmlns:ext="urn:x-threatflow:bpmn"'
+        ' targetNamespace="urn:x-threatflow:process">\n'
+        '  <process id="skeleton" isExecutable="true">\n'
+        '    <startEvent id="start" />\n'
+        '    <serviceTask id="task-tx-map" name="Deliver map" />\n'
+        '    <endEvent id="end" />\n'
+        '    <sequenceFlow id="flow-1" sourceRef="start" targetRef="task-tx-map" />\n'
+        '    <sequenceFlow id="flow-2" sourceRef="task-tx-map" targetRef="end" />\n'
+        "  </process>\n"
+        "</definitions>\n"
+        f"warning: {SKIPPED}\n",
+        f"warning: {SKIPPED}\n"
+        + json.dumps({"boundaries": 0, "record": "skeleton", "tasks": 1, "warnings": [SKIPPED]}) + "\n",
+        "",
+    ),
+    "var-malformed": (
+        lambda tmp: ["run", "start", "--bundle", BUNDLE, "--var", "iata"],
+        None, 2, "", "", "ValidationError: --var expects name=value, got 'iata'\n",
+    ),
+    "map-malformed": (
+        lambda tmp: ["transform", "srs2bpmn", str(FIXTURES / "demo.srs"), "--map", "tx-map"],
+        None, 2, "", "", "ValidationError: --map expects ref=TaskName, got 'tx-map'\n",
+    ),
+    "select-malformed": (
+        lambda tmp: ["transform", "srs2bpmn", str(FIXTURES / "demo.srs"), "--select", "T-AG-DOS"],
+        None, 2, "", "", "ValidationError: --select expects threatId@targetRef, got 'T-AG-DOS'\n",
+    ),
+    "publish-three-segments": (
+        lambda tmp: ["bus", "publish", "--topic", "a.b.c"],
+        None, 2, "", "", "ValidationError: topic 'a.b.c' must be '<event-type>.<subject>'\n",
+    ),
+    "run-start-failing-instance": (
+        lambda tmp: ["run", "start", "--bundle", _failing_bundle(tmp), "--var", "iata=OSL"],
+        None, 1,
+        f"instance i1: failed\nerror: {UNHANDLED}\n",
+        f"error: {UNHANDLED}\n"
+        + json.dumps({"error": UNHANDLED, "id": "i1", "outcome": "failed", "record": "instance"}) + "\n",
+        "",
+    ),
+    "verify-ceiling-before-threat": (
+        lambda tmp: ["plan", "verify", "--bundle", _bundle_over_the_plan_ceiling(tmp), "--threat", "nonsense"],
+        None, 9, "", "",
+        "PlanCountExceededError: 16807 plans exceed the ceiling of 10000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINS)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_command_output_is_pinned(tmp_path, monkeypatch, capsys, case, as_json):
+    argv, setup, code, text, records, err = PINS[case]
+    if setup is not None:
+        setup(monkeypatch)
+    assert run_cli(*(["--json"] if as_json else []), *argv(tmp_path)) == code
+    assert capsys.readouterr() == (records if as_json else text, err)
+
+
+def test_every_command_is_declared_with_a_handler():
+    groups = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {}
+    for group, group_parser in groups.choices.items():
+        sub = next(a for a in group_parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, command_parser in sub.choices.items():
+            commands[f"{group} {name}"] = command_parser.get_default("handler")
+    assert len(commands) == 19
+    assert all(callable(handler) for handler in commands.values()), commands
+
+
+@pytest.mark.parametrize("argv, banner", [
+    (["repo", "serve", "--port", "0"], "threat repository listening on http://127.0.0.1:"),
+    (["bus", "serve", "--port", "0"], "notification bus listening on 127.0.0.1:"),
+], ids=["repo", "bus"])
+def test_serve_prints_its_listening_line(tmp_path, argv, banner):
+    if argv[0] == "repo":
+        argv = argv + ["--repo", str(tmp_path / "repo.json")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout on a pipe is block-buffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "threatflow", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        line = proc.stdout.readline() if ready else ""
+    finally:
+        proc.terminate()
+        proc.communicate(timeout=30)
+    assert line.startswith(banner) and int(line[len(banner):].rstrip("/\n")) > 0, line
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)  # the empty string leaves stdout buffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "threatflow", "--json", "run", "demo"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

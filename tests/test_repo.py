@@ -226,6 +226,22 @@ def test_http_malformed_request_is_400(http_repo, method, path, body, headers):
     assert exc.value.code == 400
 
 
+@pytest.mark.parametrize("method, path", [
+    ("GET", "/threats/T-DOS/countermeasures/cm-1"),
+    ("PUT", "/threats"),
+    ("POST", "/import/more"),
+], ids=["get", "put", "post"])
+def test_http_unknown_route_is_404(http_repo, method, path):
+    _, base = http_repo
+    req = urllib.request.Request(f"{base}{path}", data=None if method == "GET" else b"{}", method=method)
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        urllib.request.urlopen(req, timeout=5)
+    with exc.value:  # the error response holds the connection open
+        assert exc.value.code == 404
+        assert exc.value.headers["Content-Type"] == "application/json"
+        assert json.loads(exc.value.read()) == {"error": "NotFoundError", "message": f"no route {path}"}
+
+
 @pytest.mark.parametrize("make, rec", [
     (repo.Threat.from_record, [1]),
     (repo.Threat.from_record, {"id": "T-X", "class": "business", "domains": 5}),
