@@ -10,9 +10,11 @@ validate() requires exactly one start event, acyclic sequence flows, and
 each fork closed by one join that takes all of its branches. Forks may nest
 inside the branches of other forks, and no branch may reach an end event
 before its join. Every node is then reachable from the start, so
-reachability needs no check of its own. A boundary handler may not target
-a boundary event, nor a node from which its task can be reached again
-along flows and handler edges, so handlers close no cycle either.
+reachability needs no check of its own. A boundary handler moves its
+task's token forward into no fork branch but those open at the task, and
+one branch of a fork at most sends handler tokens out of it to other nodes
+than end events. So no handler closes a cycle, and a run whose tasks raise
+handled threats completes unless a task then lacks an input variable.
 
 Models are immutable values, and a model value is validated once: its
 violations are kept on it, so parse, deploy and serialize check it a single
@@ -241,8 +243,7 @@ def _check(pm: ProcessModel) -> list[str]:
     boundaries = pm.boundary_events()
     seen_pairs: set[tuple[str, str]] = set()
     for b in boundaries:
-        attached = ids.get(b.attached_to)
-        if attached is None or not isinstance(attached, ServiceTask):
+        if not isinstance(ids.get(b.attached_to), ServiceTask):
             v.append(f"boundary event {b.id!r} attachedTo {b.attached_to!r} is not a service task")
         if not b.error_ref:
             v.append(f"boundary event {b.id!r} has empty errorRef")
@@ -282,77 +283,74 @@ def _check(pm: ProcessModel) -> list[str]:
                 if n.direction is GatewayDirection.JOIN and (i < 2 or o != 1):
                     v.append(f"join gateway {n.id!r} must have >=2 in / 1 out flows, has {i}/{o}")
 
-    if not v:
-        v.extend(_check_structure(pm))
-    if not v:
-        v.extend(_check_handlers(pm, boundaries))
-    return v
+    return v or _check_structure(pm)
 
 
 def _check_structure(pm: ProcessModel) -> list[str]:
-    """Acyclic flows and fork/join pairing, in one pass over the index's
-    topological order. Runs after the id, endpoint, boundary and degree
-    checks pass, so the order holds every node iff the flows are acyclic.
-    Each flow carries the forks open on it: a fork opens itself, a join must
-    close the last one on every one of that fork's branches, and an end
-    event must see none open.
+    """Acyclic flows, fork/join pairing and boundary handlers, in one pass
+    over the index's topological order, once the id, endpoint, boundary and
+    degree checks pass: the order then holds every node iff the flows are
+    acyclic. Each flow carries the forks open on it and the branch it is on:
+    a fork opens itself on each branch, a join must close the last fork on
+    every one of that fork's branches, and an end event must see none open.
+    A handler's target is then an end event, or a node after its task that
+    some flow enters carrying only forks and branches open at the task; and
+    the handlers whose tokens leave a fork for other nodes than end events
+    must all lie in one of its branches.
 
-    Reachability needs no check of its own. With exactly one start, the
-    degree rules and acyclic flows, every node but the start has an incoming
-    flow, except an end event that only a boundary handler feeds; end events
-    have no outgoing flow, so a walk back along incoming flows from any node
-    ends at the start. A boundary event hangs on a service task, and a
-    handler-fed end hangs on a boundary event."""
+    Reachability needs no check of its own: by the degree rules and acyclic
+    flows, a walk back along incoming flows from any node but a handler-fed
+    end (hung on a boundary event, hung on a task) ends at the start."""
     idx = pm.index
     if len(idx.order) != len(pm.nodes):
         placed = {n.id for n in idx.order}
         missing = sorted(n.id for n in pm.nodes if n.id not in placed)
         return [f"flows cycle: nodes {', '.join(map(repr, missing))} lie on or after a cycle"]
     v: list[str] = []
-    open_forks: dict[str, list[tuple[str, ...]]] = {n.id: [] for n in pm.nodes}  # one per incoming flow
-    for n in idx.order:
-        if isinstance(n, ErrorBoundaryEvent):
-            continue
-        ins = open_forks[n.id]
+    # (fork, branch head) pairs, outermost first; one tuple per incoming flow
+    contexts: dict[str, list[tuple[tuple[str, str], ...]]] = {n.id: [] for n in pm.nodes}
+    for n in idx.order:  # a boundary event has no flows and passes through
+        ins = contexts[n.id]
         out = ins[0] if ins else ()
-        if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK:
-            out += (n.id,)
-        elif isinstance(n, ParallelGateway):
-            branches = len(idx.successors[out[-1]]) if out else 0
-            if not out or any(t != out for t in ins):
+        is_fork = isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK
+        if isinstance(n, ParallelGateway) and not is_fork:
+            forks = [f for f, _ in out]
+            branches = len(idx.successors[forks[-1]]) if out else 0
+            if not out or any([f for f, _ in t] != forks for t in ins):
                 v.append(f"join {n.id!r} does not close the branches of one fork")
             elif len(ins) != branches:
-                v.append(f"join {n.id!r} has {len(ins)} incoming flows but fork {out[-1]!r} has {branches} branches")
+                v.append(f"join {n.id!r} has {len(ins)} incoming flows but fork {forks[-1]!r} has {branches} branches")
             out = out[:-1]
         elif isinstance(n, EndEvent) and any(ins):
-            v.append(f"end event {n.id!r} ends a branch of fork {next(t for t in ins if t)[-1]!r} before its join")
+            v.append(f"end event {n.id!r} ends a branch of fork {next(t for t in ins if t)[-1][0]!r} before its join")
         for nxt in idx.successors[n.id]:
-            open_forks[nxt].append(out)
-    return v
+            contexts[nxt].append(out + ((n.id, nxt),) if is_fork else out)
+    if v:
+        return v
 
-
-def _check_handlers(pm: ProcessModel, boundaries: list[ErrorBoundaryEvent]) -> list[str]:
-    """No boundary handler closes a cycle; serialize writes each one as a
-    sequence flow. A handler may not target a boundary event, nor a node
-    from which its task can be reached along flows and handler edges (task
-    to handler target). Runs once the flows alone are known to be acyclic."""
-    idx = pm.index
-    succ = {nid: list(nxt) for nid, nxt in idx.successors.items()}
-    for b in boundaries:
-        succ[b.attached_to].append(b.handler_target)
-    v: list[str] = []
-    for b in boundaries:
-        if isinstance(idx.nodes[b.handler_target], ErrorBoundaryEvent):
-            v.append(f"boundary event {b.id!r} handler targets boundary event {b.handler_target!r}")
+    at = {n.id: k for k, n in enumerate(idx.order)}
+    leaving: dict[str, tuple[str, str]] = {}  # fork -> branch head and boundary id of the first handler out
+    for b in pm.boundary_events():
+        if isinstance(idx.nodes[x := b.handler_target], EndEvent):
             continue
-        seen, frontier = set(), [b.handler_target]
-        while frontier and b.attached_to not in seen:
-            nid = frontier.pop()
-            if nid not in seen:
-                seen.add(nid)
-                frontier.extend(succ[nid])
-        if b.attached_to in seen:
-            v.append(f"boundary event {b.id!r} handler target {b.handler_target!r} leads back to task {b.attached_to!r}")
+        task = contexts[b.attached_to][0]  # a service task has one incoming flow
+        # per incoming flow of x, the first fork it carries in a branch not open at the task
+        outside = [next((f for f, head in t if (f, head) not in task), None) for t in contexts[x]]
+        if isinstance(idx.nodes[x], ErrorBoundaryEvent):
+            v.append(f"boundary event {b.id!r} handler targets boundary event {x!r}")
+        elif outside and None not in outside:
+            v.append(f"boundary event {b.id!r} handler target {x!r} enters fork {outside[0]!r} "
+                     f"outside the branch of task {b.attached_to!r}")
+        elif at[x] <= at[b.attached_to]:
+            v.append(f"boundary event {b.id!r} handler target {x!r} leads back to task {b.attached_to!r}")
+        else:
+            left = task[len(contexts[x][outside.index(None)]):]  # the forks the token leaves
+            for f, head in left:
+                leaving.setdefault(f, (head, b.id))
+            clash = next((f for f, head in left if leaving[f][0] != head), None)
+            if clash:
+                v.append(f"boundary events {leaving[clash][1]!r} and {b.id!r} carry tokens out of fork "
+                         f"{clash!r} from two of its branches")
     return v
 
 

@@ -687,9 +687,12 @@ class BusClient:
             if ack is None:
                 self._late += 1
                 raise BusError("no ACKCOUNT reply from broker")
-        if ack.get("count", -1) < 0:
+        count = ack.get("count", -1)
+        if type(count) is not int:  # isinstance would take a JSON true for 1
+            raise BusError(f"malformed ACKCOUNT reply: count {count!r}")
+        if count < 0:
             raise BusError(ack.get("error", "publish rejected"))
-        return ack["count"]
+        return count
 
     def receive(self, timeout: float = 0.0) -> Notification | None:
         return self._msgs.poll(timeout)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from collections import Counter
@@ -9,6 +10,7 @@ from threatflow import bpmn, runtime
 from threatflow.bus import Broker
 from threatflow.composition import RankingCriteria
 from threatflow.errors import (
+    ComponentFault,
     ConflictError,
     NotFoundError,
     ParseError,
@@ -466,7 +468,7 @@ def test_nested_fork_validates_round_trips_and_runs_to_completion():
     assert invoker.calls == Counter({f"{t}-c1": 1 for t in ("a", "b", "c", "slow", "d")})
 
 
-# --- boundary handlers close no cycle ---------------------------------------
+# --- boundary handlers: forward, inside the forks open at the task ----------
 
 def _handlers(pm, *triples):
     for task, threat, target in triples:
@@ -493,16 +495,13 @@ HANDLER_CYCLES = {
                        forks={"g"}, joins={"j"}),
             ("a", "T-A", "b"), ("b", "T-B", "a"),
         ),
-        ["boundary event 'boundary-a-T-A' handler target 'b' leads back to task 'a'",
-         "boundary event 'boundary-b-T-B' handler target 'a' leads back to task 'b'"],
+        ["boundary event 'boundary-a-T-A' handler target 'b' enters fork 'g' outside the branch of task 'a'",
+         "boundary event 'boundary-b-T-B' handler target 'a' enters fork 'g' outside the branch of task 'b'"],
     ),
 }
 
 
-@pytest.mark.parametrize("case", HANDLER_CYCLES)
-def test_a_handler_that_closes_a_cycle_is_refused(case):
-    make, problems = HANDLER_CYCLES[case]
-    pm = make()
+def _assert_refused(pm, problems):
     assert bpmn.validate(pm) == problems
     with pytest.raises(ValidationError):
         runtime.deploy(pm, random_registry(random.Random(0), pm, max_candidates=1), rules=[],
@@ -519,6 +518,117 @@ def test_a_handler_that_closes_a_cycle_is_refused(case):
     assert all(p in str(exc.value) for p in problems)
 
 
+@pytest.mark.parametrize("case", HANDLER_CYCLES)
+def test_a_handler_that_closes_a_cycle_is_refused(case):
+    make, problems = HANDLER_CYCLES[case]
+    _assert_refused(make(), problems)
+
+
 def test_a_handler_to_a_later_task_is_kept():
     pm = _handlers(linear_model(3), ("t1", "T-A", "t3"), ("t2", "T-B", "end"))
     assert bpmn.validate(pm) == []
+
+
+class FaultingInvoker(CountingInvoker):
+    """Each component in faults raises the threat it maps to."""
+
+    def __init__(self, faults):
+        super().__init__({})
+        self.faults = faults
+
+    def invoke(self, component_id, operation_ref, inputs):
+        if component_id in self.faults:
+            raise ComponentFault(self.faults[component_id])
+        return super().invoke(component_id, operation_ref, inputs)
+
+
+def _run_faulting(pm, tasks, validated=True):
+    """One instance whose listed tasks raise their boundary threat, on a
+    service that deploy builds or, if not validated, built without deploy's
+    validation."""
+    faults = {f"{b.attached_to}-c1": b.error_ref for b in pm.boundary_events() if b.attached_to in tasks}
+    reg = random_registry(random.Random(0), pm, max_candidates=1)
+    setup = dict(rules=[], criteria=RankingCriteria(1.0, 0.0, 0.0), broker=Broker(), invoker=FaultingInvoker(faults))
+    if validated:
+        svc = runtime.deploy(pm, reg, **setup)
+    else:
+        svc = runtime.DeployedService(service_id="svc", process=pm, registry=reg, subscriptions=[], **setup)
+    return svc.instances[svc.start_instance({})]
+
+
+# g forks to a and b, joined at j, then c; and t before a fork g to x and y
+SIBLINGS = [("start", "g"), ("g", "a"), ("g", "b"), ("a", "j"), ("b", "j"), ("j", "c"), ("c", "end")]
+LATER_FORK = [("start", "t"), ("t", "g"), ("g", "x"), ("g", "y"), ("x", "j"), ("y", "j"), ("j", "end")]
+EARLIER_FORK = [("start", "g"), ("g", "x"), ("g", "y"), ("x", "j"), ("y", "j"), ("j", "t"), ("t", "end")]
+
+
+def _forked(edges, *triples):
+    """flow_model of edges with the handlers of triples; an end event 'end-h'
+    is added when a handler targets it."""
+    pm = flow_model(edges, forks={"g"}, joins={"j"})
+    if any(target == "end-h" for _, _, target in triples):
+        pm = replace(pm, nodes=pm.nodes + (bpmn.EndEvent(id="end-h"),))
+    return _handlers(pm, *triples)
+
+
+# shapes that no faulting run completes, with the failure the runtime reports
+# when the tasks named fault in a model that skipped validation
+HANDLERS_STRANDED = {
+    "into-a-sibling-branch": (
+        lambda: _forked(SIBLINGS, ("a", "T-A", "b")), ["a"],
+        ["boundary event 'boundary-a-T-A' handler target 'b' enters fork 'g' outside the branch of task 'a'"],
+        "token re-entered completed task 'b'",
+    ),
+    "into-a-later-fork": (
+        lambda: _forked(LATER_FORK, ("t", "T-A", "x")), ["t"],
+        ["boundary event 'boundary-t-T-A' handler target 'x' enters fork 'g' outside the branch of task 't'"],
+        "tokens exhausted before any end event was reached",
+    ),
+    "onto-a-later-join": (
+        lambda: _forked(LATER_FORK, ("t", "T-A", "j")), ["t"],
+        ["boundary event 'boundary-t-T-A' handler target 'j' enters fork 'g' outside the branch of task 't'"],
+        "tokens exhausted before any end event was reached",
+    ),
+    "back-into-a-closed-fork": (
+        lambda: _forked(EARLIER_FORK, ("t", "T-A", "x")), ["t"],
+        ["boundary event 'boundary-t-T-A' handler target 'x' enters fork 'g' outside the branch of task 't'"],
+        "token re-entered completed task 'x'",
+    ),
+    "out-of-two-branches": (
+        lambda: _forked(SIBLINGS, ("a", "T-A", "c"), ("b", "T-B", "c")), ["a", "b"],
+        ["boundary events 'boundary-a-T-A' and 'boundary-b-T-B' carry tokens out of fork 'g' from two of its branches"],
+        "token re-entered completed task 'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HANDLERS_STRANDED)
+def test_a_handler_that_no_faulting_run_completes_is_refused(case):
+    make, faulting, problems, error = HANDLERS_STRANDED[case]
+    pm = make()
+    _assert_refused(pm, problems)
+    inst = _run_faulting(pm, faulting, validated=False)
+    assert (inst.outcome, inst.error) == (runtime.Outcome.FAILED, error)
+
+
+HANDLERS_KEPT = {
+    "to-its-join": lambda: _forked(SIBLINGS, ("a", "T-A", "j")),
+    "past-its-join": lambda: _forked(SIBLINGS, ("a", "T-A", "c")),
+    "to-the-end": lambda: _forked(SIBLINGS, ("a", "T-A", "end")),
+    "to-a-handler-fed-end": lambda: _forked(SIBLINGS, ("a", "T-A", "end-h")),
+    "to-a-later-fork": lambda: _forked(LATER_FORK, ("t", "T-A", "g")),
+    "out-of-two-branches-to-ends": lambda: _forked(SIBLINGS, ("a", "T-A", "end"), ("b", "T-B", "end-h")),
+    "out-of-one-branch-and-to-its-join": lambda: _forked(SIBLINGS, ("a", "T-A", "c"), ("b", "T-B", "j")),
+}
+
+
+@pytest.mark.parametrize("case", HANDLERS_KEPT)
+def test_a_handler_forward_inside_the_open_forks_is_kept_and_completes(case):
+    pm = HANDLERS_KEPT[case]()
+    assert bpmn.validate(pm) == []
+    assert bpmn.structurally_equal(bpmn.parse_bpmn(bpmn.serialize(pm)), pm)
+    tasks = [b.attached_to for b in pm.boundary_events()]
+    for k in range(len(tasks) + 1):
+        for faulting in itertools.combinations(tasks, k):
+            inst = _run_faulting(pm, faulting)
+            assert (inst.outcome, inst.error) == (runtime.Outcome.COMPLETED, None), faulting

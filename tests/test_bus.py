@@ -514,6 +514,13 @@ def test_tcp_churn_leaves_no_broker_entries():
             client = BusClient("127.0.0.1", server.port)
             client.subscribe(f"churn-{i}", "threat-level-change.*")
             client.close()
+        # the server accepts in order, so once one more connection's publish
+        # is answered, every churn connection has its thread
+        last = BusClient("127.0.0.1", server.port)
+        last.publish(notification(seq=2, publisher="churn-barrier"))
+        last.close()
+        wait_until(lambda: not any(sid.startswith("churn-") for sid in list(server.broker._queues)),
+                   "the server released every churn subscriber")
         join_all(threads_since(before))
         assert [sid for sid in server.broker._queues if sid.startswith("churn-")] == []
         assert server.broker.publish(notification()) == 0
@@ -909,6 +916,24 @@ def test_a_publish_after_a_timeout_takes_its_own_reply():
         time.sleep(0.5)  # the late reply is in
         assert client.publish(notification(seq=2)) == 11
         assert client.publish(notification(seq=3)) == 12
+    finally:
+        client.close()
+        server.close()
+
+
+def test_a_malformed_ackcount_raises_and_the_next_reply_pairs_with_its_own_publish():
+    counts = iter(["x", 1, True, 2, 1.5, 3, None, 4])
+
+    def reply(rec):
+        return [{"op": "ACKCOUNT", "count": next(counts)}] if rec["op"] == "PUB" else []
+
+    server = FakeBusServer(reply)
+    client = BusClient("127.0.0.1", server.port, timeout=2.0)
+    try:
+        for k in range(1, 5):
+            with pytest.raises(BusError, match="malformed ACKCOUNT"):
+                client.publish(notification(seq=2 * k - 1))
+            assert client.publish(notification(seq=2 * k)) == k
     finally:
         client.close()
         server.close()

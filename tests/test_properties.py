@@ -773,11 +773,25 @@ def degree_valid_graphs(draw):
     return pm
 
 
+def _after(pm, node_id):
+    """The nodes that node_id reaches along flows, itself excluded."""
+    seen, frontier = set(), list(pm.index.successors[node_id])
+    while frontier:
+        nid = frontier.pop()
+        if nid not in seen:
+            seen.add(nid)
+            frontier += pm.index.successors[nid]
+    return sorted(seen)
+
+
 @st.composite
-def nested_models(draw):
+def nested_models(draw, forward_only=False):
     """Valid structured models: sequences of tasks and forks whose branches
     are sequences again, nested up to three deep, with 2-4 branches, some
-    branches empty, and boundary handlers to any node."""
+    branches empty, and 1-4 boundary handlers. A handler targets any node,
+    boundary events included, or half the time (always if forward_only) a
+    node after its task, so that both the handler sets validate refuses and
+    those it keeps are common."""
     nodes, flows, ids = [bpmn.StartEvent(id="start")], [], itertools.count()
 
     def link(a, b):
@@ -803,14 +817,22 @@ def nested_models(draw):
 
     link(sequence("start", 0, 1), "end")
     nodes.append(bpmn.EndEvent(id="end"))
-    if draw(st.booleans()):
+    handler_end = draw(st.booleans())
+    if handler_end:
         nodes.append(bpmn.EndEvent(id="end-h"))
     pm = bpmn.ProcessModel(id="p", nodes=tuple(nodes), flows=tuple(flows))
-    targets = [n.id for n in nodes if not isinstance(n, bpmn.StartEvent)]
     tasks = [n.id for n in pm.service_tasks()]
-    for task in draw(st.lists(st.sampled_from(tasks), unique=True, max_size=3)) if tasks else ():
-        pm = bpmn.attach_threat(pm, task, "T1", handler_target=draw(st.sampled_from(targets)))
-    if "end-h" in targets and all(b.handler_target != "end-h" for b in pm.boundary_events()):
+    for task in draw(st.lists(st.sampled_from(tasks), unique=True, min_size=1, max_size=4)) if tasks else ():
+        pm = bpmn.attach_threat(pm, task, "T1", handler_target="end")
+    anywhere = [n.id for n in pm.nodes]
+    extra = ["end-h"] if handler_end else []
+    pm = replace(pm, nodes=tuple(
+        replace(n, handler_target=draw(st.sampled_from(
+            _after(pm, n.attached_to) + extra if forward_only or draw(st.booleans()) else anywhere
+        ))) if isinstance(n, bpmn.ErrorBoundaryEvent) else n
+        for n in pm.nodes
+    ))
+    if handler_end and all(b.handler_target != "end-h" for b in pm.boundary_events()):
         pm = replace(pm, nodes=tuple(n for n in pm.nodes if n.id != "end-h"))
     return pm
 
@@ -844,40 +866,125 @@ FORK_CLOSED_BY_TWO_JOINS = bpmn.ProcessModel(
 )
 
 
+# fork g's two branches each carry a token out of it to task c: each alone
+# completes, but when both a and b fault, c runs twice
+TWO_BRANCHES_OUT = bpmn.ProcessModel(
+    id="p",
+    nodes=(
+        bpmn.StartEvent(id="start"),
+        bpmn.ParallelGateway(id="g", direction=GatewayDirection.FORK),
+        bpmn.ServiceTask(id="a"),
+        bpmn.ServiceTask(id="b"),
+        bpmn.ParallelGateway(id="j", direction=GatewayDirection.JOIN),
+        bpmn.ServiceTask(id="c"),
+        bpmn.EndEvent(id="end"),
+        bpmn.ErrorBoundaryEvent(id="boundary-a-T1", attached_to="a", error_ref="T1", handler_target="c"),
+        bpmn.ErrorBoundaryEvent(id="boundary-b-T1", attached_to="b", error_ref="T1", handler_target="c"),
+    ),
+    flows=tuple(bpmn.SequenceFlow(f"f{k}", a, b) for k, (a, b) in enumerate([
+        ("start", "g"), ("g", "a"), ("g", "b"), ("a", "j"), ("b", "j"), ("j", "c"), ("c", "end"),
+    ])),
+    errors=(bpmn.ErrorDecl(id="T1"),),
+)
+
+
 def _reference_handlers(pm):
-    """The handler rule by brute force: a handler may not target a boundary
-    event, nor a node that reaches its task in the transitive closure of
-    every flow and every task -> handler-target edge."""
-    edges = [(f.from_node, f.to_node) for f in pm.flows]
-    edges += [(b.attached_to, b.handler_target) for b in pm.boundary_events()]
-    reach = {n.id: {n.id} for n in pm.nodes}
+    """The handler rule by brute force, from the set of nodes that each node
+    reaches along flows. A node lies in the branch of fork F headed by h when
+    h reaches it and some other branch of F does not; a flow lies in the
+    branches its source lies in, and in the one it opens if it leaves a
+    fork. A handler may target an end event, or a node that its task reaches
+    and that some flow enters lying only in branches its task lies in. The
+    handlers that leave a fork for any node but an end event lie in one of
+    its branches: a handler leaving it from another branch than the first
+    one does, in model order, is refused."""
+    nodes = {n.id: n for n in pm.nodes}
+    reach = {nid: {nid} for nid in nodes}
     changed = True
     while changed:  # grow each node's set by its successors' until none grows
         changed = False
-        for a, b in edges:
-            if not reach[b] <= reach[a]:
-                reach[a] |= reach[b]
+        for f in pm.flows:
+            if not reach[f.to_node] <= reach[f.from_node]:
+                reach[f.from_node] |= reach[f.to_node]
                 changed = True
-    boundary_ids = {b.id for b in pm.boundary_events()}
-    return [
-        f"boundary event {b.id!r} handler targets boundary event {b.handler_target!r}"
-        if b.handler_target in boundary_ids else
-        f"boundary event {b.id!r} handler target {b.handler_target!r} leads back to task {b.attached_to!r}"
-        for b in pm.boundary_events()
-        if b.handler_target in boundary_ids or b.attached_to in reach[b.handler_target]
-    ]
+    heads = {
+        nid: [f.to_node for f in pm.flows if f.from_node == nid]
+        for nid, n in nodes.items()
+        if isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK
+    }
+
+    def branches(nid):
+        return {(f, h) for f, hs in heads.items() for h in hs
+                if nid in reach[h] and any(nid not in reach[o] for o in hs)}
+
+    def on(flow):
+        return branches(flow.from_node) | ({(flow.from_node, flow.to_node)} if flow.from_node in heads else set())
+
+    def outermost(pairs):
+        return sorted(pairs, key=lambda pair: len(branches(pair[0])))
+
+    v, leaving = [], {}
+    for b in pm.boundary_events():
+        task, target = b.attached_to, b.handler_target
+        if isinstance(nodes[target], bpmn.ErrorBoundaryEvent):
+            v.append(f"boundary event {b.id!r} handler targets boundary event {target!r}")
+            continue
+        if isinstance(nodes[target], EndEvent):
+            continue
+        mine = branches(task)
+        into = [f for f in pm.flows if f.to_node == target]
+        kept = [on(f) for f in into if on(f) <= mine]
+        if into and not kept:
+            fork = outermost(on(into[0]) - mine)[0][0]
+            v.append(f"boundary event {b.id!r} handler target {target!r} enters fork {fork!r} "
+                     f"outside the branch of task {task!r}")
+        elif target == task or target not in reach[task]:
+            v.append(f"boundary event {b.id!r} handler target {target!r} leads back to task {task!r}")
+        else:
+            left = outermost(mine - kept[0])
+            for fork, head in left:
+                leaving.setdefault(fork, (head, b.id))
+            clash = next((fork for fork, head in left if leaving[fork][0] != head), None)
+            if clash:
+                v.append(f"boundary events {leaving[clash][1]!r} and {b.id!r} carry tokens out of fork "
+                         f"{clash!r} from two of its branches")
+    return v
 
 
 @settings(max_examples=400, deadline=None)
 @given(pm=degree_valid_graphs() | nested_models() | flow_swap_mutants())
 @example(pm=FORK_CLOSED_BY_TWO_JOINS)
+@example(pm=TWO_BRANCHES_OUT)
 def test_structure_check_matches_the_three_reference_walks(pm):
     assume(all(f.from_node != f.to_node for f in pm.flows))  # a self-loop fails an earlier check
     structure = bpmn._check_structure(pm)
     reference = _reference_structure(pm)
-    assert bool(structure) == bool(reference), (structure, reference)
-    # every earlier check passes, and once the structure does, validate adds
-    # exactly the handler violations
-    assert bpmn.validate(pm) == (structure or _reference_handlers(pm))
+    # the three walks decide the flow violations; once the flows hold, the
+    # pass reports exactly the handler violations
+    flow_violations = [p for p in structure if not p.startswith("boundary event")]
+    assert bool(flow_violations) == bool(reference), (structure, reference)
+    assert structure == (flow_violations or _reference_handlers(pm))
+    # every earlier check passes
+    assert bpmn.validate(pm) == structure
     if not _check_acyclic(pm):
         assert _check_reachability(pm) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(pm=nested_models(forward_only=True), steps=st.lists(st.integers(0, 2), max_size=30))
+@example(pm=TWO_BRANCHES_OUT, steps=[])
+def test_a_run_completes_whichever_tasks_fault_once_validate_keeps_the_handlers(pm, steps):
+    """The runtime as oracle: in a model that validate accepts, a run ends
+    COMPLETED whichever subset of the tasks that carry a handler faults.
+    Handlers target nodes after their tasks, which validate mostly keeps,
+    and the tasks take extra steps so that branches interleave."""
+    if bpmn.validate(pm):
+        return
+    reg = random_registry(random.Random(0), pm, max_candidates=1)
+    delays = {f"{t.id}-c1": d for t, d in zip(pm.service_tasks(), steps)}
+    tasks = [b.attached_to for b in pm.boundary_events()]
+    for faulting in itertools.chain.from_iterable(itertools.combinations(tasks, k) for k in range(len(tasks) + 1)):
+        invoker = CaseInvoker(delays, {f"{t}-c1": "T1" for t in faulting})
+        svc = runtime.deploy(pm, reg, [], RankingCriteria(1.0, 0.0, 0.0), Broker(), invoker)
+        inst = svc.instances[svc.start_instance({})]
+        assert (inst.outcome, inst.error) == (Outcome.COMPLETED, None), faulting
