@@ -13,8 +13,11 @@ before its join. Every node is then reachable from the start, so
 reachability needs no check of its own. A boundary handler moves its
 task's token forward into no fork branch but those open at the task, and
 one branch of a fork at most sends handler tokens out of it to other nodes
-than end events. So no handler closes a cycle, and a run whose tasks raise
-handled threats completes unless a task then lacks an input variable.
+than end events, and every input variable of its target and of the tasks
+after it is a process input or set by a task before its own. So no handler
+closes a cycle or skips the task that sets an input it needs, and a run
+whose tasks raise handled threats completes unless the flows themselves
+put a task before the task that sets its input.
 
 Models are immutable values, and a model value is validated once: its
 violations are kept on it, so parse, deploy and serialize check it a single
@@ -296,7 +299,9 @@ def _check_structure(pm: ProcessModel) -> list[str]:
     A handler's target is then an end event, or a node after its task that
     some flow enters carrying only forks and branches open at the task; and
     the handlers whose tokens leave a fork for other nodes than end events
-    must all lie in one of its branches.
+    must all lie in one of its branches, and each input variable of the
+    target and of the tasks after it must be a process input or set by a
+    task before the handler's task (_unset_input).
 
     Reachability needs no check of its own: by the degree rules and acyclic
     flows, a walk back along incoming flows from any node but a handler-fed
@@ -351,7 +356,37 @@ def _check_structure(pm: ProcessModel) -> list[str]:
             if clash:
                 v.append(f"boundary events {leaving[clash][1]!r} and {b.id!r} carry tokens out of fork "
                          f"{clash!r} from two of its branches")
+            if unset := _unset_input(idx, b.attached_to, x):
+                v.append(f"boundary event {b.id!r} handler target {x!r} runs task {unset[0]!r} without its "
+                         f"input variable {unset[1]!r}: no task before task {b.attached_to!r} sets it")
     return v
+
+
+def _unset_input(idx: ProcessIndex, task_id: str, target: str) -> tuple[str, str] | None:
+    """The first (task, input variable), in topological order, of the target
+    or a task after it, that is set by some task but by none before task_id,
+    the tasks that always complete before it starts; None if there is none.
+    A variable no task sets is a process input, given at start."""
+    preds: dict[str, list[str]] = {}
+    for nid, succ in idx.successors.items():
+        for nxt in succ:
+            preds.setdefault(nxt, []).append(nid)
+    before = {idx.nodes[n].output_var for n in _reach(task_id, preds) if isinstance(idx.nodes[n], ServiceTask)}
+    produced = {t.output_var for t in idx.service_tasks if t.output_var}
+    after = _reach(target, idx.successors) | {target}
+    return next(((t.id, var) for t in idx.service_tasks if t.id in after
+                 for var in t.input_vars if var in produced and var not in before), None)
+
+
+def _reach(node_id: str, edges: dict[str, list[str]]) -> set[str]:
+    """The nodes reached from node_id along edges, node_id not included."""
+    seen: set[str] = set()
+    frontier = list(edges.get(node_id, ()))
+    while frontier:
+        if (nid := frontier.pop()) not in seen:
+            seen.add(nid)
+            frontier += edges.get(nid, ())
+    return seen
 
 
 # --- operations ---------------------------------------------------------------

@@ -6,18 +6,18 @@ process instances with token semantics. Incoming notifications update the
 threat state, are matched against the rules, and may trigger stop,
 recomposition, an auxiliary process launch, or an outbound notify.
 
-A notStarted task of a live instance always holds the active plan's
-component (an instance starts on a copy of the plan, and each switch rebinds
-its notStarted tasks), and a started task never changes component. So a
-live instance binds a task off the plan only if it started the task before
-a switch moved the plan off its component; each switch files such instances
-in `_off_plan`, and they leave it when they finish or the plan comes back.
-An alert costs the service-scope rules plus the instance rules of its event
-type, tried on an instance only where it binds their subject task to the
-alert's subject: every live instance when the plan binds a subject task to
-the subject, otherwise only the `_off_plan` instances kept on the subject.
-Finished instances cost nothing. A plan switch rebinds only the tasks whose
-component changed.
+A live instance records a task's component when the task starts, and a
+task it has not started reads the active plan; a started task never changes
+component, and a finished instance freezes its bindings and plan id. The
+started-task index maps (task id, component) to the live instances that
+started that task on that component, so the live instances bound off the
+plan are the index entries whose task the plan binds elsewhere. An alert
+costs the service-scope rules plus the instance rules of its event type,
+tried on an instance only where it binds their subject task to the alert's
+subject: every live instance when the plan binds a subject task to the
+subject, otherwise only the indexed instances that started a subject task
+on it. Finished instances cost nothing. A plan switch touches no live
+instance: it costs the tasks whose component changed.
 
 What a service remembers is bounded. One store per service holds the
 newest EVENT_CAPACITY events; `event_log`, each instance's `event_log` and
@@ -144,16 +144,12 @@ class ProcessInstance:
     def __init__(
         self,
         instance_id: str,
-        plan_id: str,
-        bindings: dict[str, str],
         variables: dict,
         task_ids: list[str],
         start_node: str,
         service: "DeployedService",
     ):
         self.instance_id = instance_id
-        self.plan_id = plan_id
-        self.bindings = bindings
         self.variables = variables
         self.outcome = Outcome.IN_PROGRESS
         self.report: dict | None = None
@@ -166,6 +162,23 @@ class ProcessInstance:
         self._delay_left: dict[str, int] = {}
         self._end_reached = False
         self.steps = 0
+        # task id -> the component the task started on
+        self._started: dict[str, str] = {}
+        # the plan active when the instance left the live set
+        self._final: CompositionPlan | None = None
+
+    @property
+    def plan_id(self) -> str:
+        """The active plan's id while the instance is live, then the id of
+        the plan active when it finished."""
+        return (self._final or self._service._plan).plan_id
+
+    @property
+    def bindings(self) -> dict[str, str]:
+        """Task id -> component, as a new dict on each read: the component a
+        started task started on, and the plan's for a task not started."""
+        started = self._started
+        return {t: started.get(t, c) for t, c in (self._final or self._service._plan).bindings}
 
     @property
     def event_log(self) -> list[ExecutionEvent]:
@@ -203,6 +216,8 @@ class DeployedService:
         self.criteria = criteria
         self._candidates = candidate_table(process, registry, criteria, self.rules)
         self._plan = select_plan(self._candidates, {}, ())  # every plan passes with no threat levels
+        # task id -> component of _plan, replaced at each switch
+        self._bound = dict(self._plan.bindings)
         self.threat_state = ThreatState(self._candidates.thresholds)
         self.status = ServiceStatus.RUNNING
         self.instances: dict[str, ProcessInstance] = {}
@@ -210,14 +225,20 @@ class DeployedService:
         # leaves it when its outcome leaves IN_PROGRESS, for the FIFO of
         # finished ids that `instances` keeps up to FINISHED_RETENTION
         self._live: dict[str, ProcessInstance] = {}
-        # (task id, component) -> the live instances, in start order, that
-        # started that task on that component before a plan switch moved
-        # the plan off it: the only live instances bound off the plan
-        self._off_plan: dict[tuple[str, str], dict[str, ProcessInstance]] = {}
         self._finished: deque[str] = deque()
         self.evicted_outcomes: Counter[Outcome] = Counter()
-        tasks = process.index.service_tasks
+        index = process.index
+        tasks = self._tasks = index.service_tasks
         self._task_ids = [t.id for t in tasks]
+        # the started-task index: (task id, component) -> the live instances,
+        # in task-start order, that started that task on that component; and
+        # task id -> how many live instances started it
+        self._start_index: dict[tuple[str, str], dict[str, ProcessInstance]] = {}
+        self._start_counts = dict.fromkeys(self._task_ids, 0)
+        self._nodes = index.nodes
+        self._successors = index.successors
+        self._indegree = index.indegree
+        self._budget = 2 * len(process.nodes) + len(process.flows) + 8
         produced = {t.output_var for t in tasks if t.output_var}
         self._required_inputs = sorted({v for t in tasks for v in t.input_vars} - produced)
         self._start_node = process.start_event().id
@@ -291,11 +312,8 @@ class DeployedService:
             if missing:
                 raise ValidationError(f"missing required input variables: {', '.join(missing)}")
             instance_id = f"i{next(self._instance_counter)}"
-            plan = self.active_plan()
             inst = ProcessInstance(
                 instance_id=instance_id,
-                plan_id=plan.plan_id,
-                bindings=dict(plan.bindings),
                 variables=dict(variables),
                 task_ids=self._task_ids,
                 start_node=self._start_node,
@@ -310,80 +328,94 @@ class DeployedService:
     def run_instance(self, instance_id: str) -> ProcessInstance:
         with self._lock:
             inst = self.instances[instance_id]
-            budget = 2 * len(self.process.nodes) + len(self.process.flows) + 8
-            for task in self.process.index.service_tasks:
-                if comp_id := inst.bindings.get(task.id):
-                    budget += self.invoker.delay_steps(comp_id, task.operation_ref)
+            bindings = inst.bindings
+            budget = self._budget
+            for task in self._tasks:
+                budget += self.invoker.delay_steps(bindings[task.id], task.operation_ref)
             while inst.outcome is Outcome.IN_PROGRESS and inst._tokens:
                 if inst.steps >= budget:
                     inst.outcome = Outcome.FAILED
                     inst.error = f"step budget of {budget} exhausted"
                     self._retire(instance_id)
                     break
-                self.step(instance_id)
+                self._move(inst)
             return inst
 
     def step(self, instance_id: str) -> ProcessInstance:
-        """One token move. Start emits, tasks invoke their bound component,
-        forks duplicate, joins wait for all incoming tokens, end consumes."""
+        """One token move of an instance in progress that holds a token."""
         with self._lock:
             inst = self.instances[instance_id]
             if inst.outcome is not Outcome.IN_PROGRESS:
                 raise ValidationError(f"instance {instance_id!r} is not in progress")
             if not inst._tokens:
                 raise ValidationError(f"instance {instance_id!r} has no tokens to move")
-            node_id = inst._tokens.popleft()
-            node = self.process.node_by_id(node_id)
-            inst.steps += 1
-
-            if isinstance(node, bpmn.StartEvent):
-                self._forward(inst, node_id)
-            elif isinstance(node, bpmn.EndEvent):
-                inst._end_reached = True
-            elif isinstance(node, bpmn.ParallelGateway):
-                if node.direction is bpmn.GatewayDirection.FORK:
-                    self._forward(inst, node_id)
-                else:
-                    arrived = inst._join_arrivals.get(node_id, 0) + 1
-                    if arrived >= self.process.index.indegree.get(node_id, 0):
-                        inst._join_arrivals[node_id] = 0
-                        self._forward(inst, node_id)
-                    else:
-                        inst._join_arrivals[node_id] = arrived
-            elif isinstance(node, bpmn.ServiceTask):
-                self._step_task(inst, node)
-            else:
-                inst.outcome = Outcome.FAILED
-                inst.error = f"token reached unexpected node {node_id!r}"
-
-            self._maybe_finalize(inst)
-            if inst.outcome is not Outcome.IN_PROGRESS:
-                self._retire(instance_id)
+            self._move(inst)
             return inst
 
+    def _move(self, inst: ProcessInstance) -> None:
+        """Move the instance's first token. Start emits, tasks invoke their
+        bound component, forks duplicate, joins wait for all incoming tokens,
+        end consumes; an instance left without tokens finishes."""
+        node_id = inst._tokens.popleft()
+        node = self._nodes.get(node_id)
+        inst.steps += 1
+
+        if isinstance(node, bpmn.ServiceTask):
+            self._step_task(inst, node)
+        elif isinstance(node, bpmn.ParallelGateway):
+            if node.direction is bpmn.GatewayDirection.FORK:
+                self._forward(inst, node_id)
+            else:
+                arrived = inst._join_arrivals.get(node_id, 0) + 1
+                if arrived >= self._indegree.get(node_id, 0):
+                    inst._join_arrivals[node_id] = 0
+                    self._forward(inst, node_id)
+                else:
+                    inst._join_arrivals[node_id] = arrived
+        elif isinstance(node, bpmn.StartEvent):
+            self._forward(inst, node_id)
+        elif isinstance(node, bpmn.EndEvent):
+            inst._end_reached = True
+        else:
+            inst.outcome = Outcome.FAILED
+            inst.error = f"token reached unexpected node {node_id!r}"
+
+        if inst.outcome is Outcome.IN_PROGRESS:
+            if inst._tokens:
+                return
+            if inst._end_reached:
+                inst.outcome = Outcome.COMPLETED
+                inst.report = dict(inst.variables)
+            else:
+                inst.outcome = Outcome.FAILED
+                inst.error = "tokens exhausted before any end event was reached"
+        self._retire(inst.instance_id)
+
     def _retire(self, instance_id: str) -> None:
-        """A finished instance leaves _live and _off_plan; past
-        FINISHED_RETENTION the oldest finished one leaves `instances`, and
-        only its outcome is counted."""
+        """A finished instance leaves _live and the started-task index, and
+        its bindings and plan id freeze; past FINISHED_RETENTION the oldest
+        finished one leaves `instances`, and only its outcome is counted."""
         inst = self._live.pop(instance_id)
-        if self._off_plan:
-            for key in inst.bindings.items():
-                bucket = self._off_plan.get(key)
-                if bucket and instance_id in bucket:
-                    del bucket[instance_id]
-                    if not bucket:
-                        del self._off_plan[key]
+        inst._final = self._plan
+        for key in inst._started.items():
+            bucket = self._start_index[key]
+            del bucket[instance_id]
+            if not bucket:
+                del self._start_index[key]
+            self._start_counts[key[0]] -= 1
         self._finished.append(instance_id)
         if len(self._finished) > FINISHED_RETENTION:
             self.evicted_outcomes[self.instances.pop(self._finished.popleft()).outcome] += 1
 
     def _forward(self, inst: ProcessInstance, node_id: str) -> None:
-        inst._tokens.extend(self.process.index.successors[node_id])
+        inst._tokens.extend(self._successors[node_id])
 
     def _step_task(self, inst: ProcessInstance, task: bpmn.ServiceTask) -> None:
         status = inst.task_status[task.id]
-        comp_id = inst.bindings[task.id]
         if status is TaskStatus.NOT_STARTED:
+            comp_id = inst._started[task.id] = self._bound[task.id]
+            self._start_index.setdefault((task.id, comp_id), {})[inst.instance_id] = inst
+            self._start_counts[task.id] += 1
             inst.task_status[task.id] = TaskStatus.ACTIVE
             self._log(
                 EventKind.TASK_STARTED,
@@ -396,6 +428,7 @@ class DeployedService:
             else:
                 self._invoke(inst, task, comp_id)
         elif status is TaskStatus.ACTIVE:
+            comp_id = inst._started[task.id]
             left = inst._delay_left.get(task.id, 0) - 1
             if left > 0:
                 inst._delay_left[task.id] = left
@@ -478,16 +511,6 @@ class DeployedService:
         )
         inst._tokens.append(boundary.handler_target)
 
-    def _maybe_finalize(self, inst: ProcessInstance) -> None:
-        if inst.outcome is not Outcome.IN_PROGRESS or inst._tokens:
-            return
-        if inst._end_reached:
-            inst.outcome = Outcome.COMPLETED
-            inst.report = dict(inst.variables)
-        else:
-            inst.outcome = Outcome.FAILED
-            inst.error = "tokens exhausted before any end event was reached"
-
     # -- notification handling
 
     def drain_notifications(self) -> int:
@@ -527,11 +550,12 @@ class DeployedService:
                 )
 
             actions: list[dict] = []
-            for inst, bindings, rules in self._targets(n):
+            subject = n.subject_component_id
+            for inst, rules in self._targets(n):
                 # no action that returns to this loop changes the instance's task status
                 position = inst.position() if inst else InstancePosition()
                 for rule in rules:
-                    if evaluate(rule, n, position, bindings[rule.subject_task_id]):
+                    if evaluate(rule, n, position, subject):
                         level = inst.instance_id if inst else "service"
                         self._log(EventKind.RULE_MATCHED, {"rule": rule.rule_id, "level": level, "topic": n.topic})
                         actions.append(self._execute_action(rule, n, inst))
@@ -544,13 +568,15 @@ class DeployedService:
         that may bind a subject task to n's subject, with its instance rules,
         each time keeping only the rules that can match n: evaluate() rejects
         a rule of another event type or whose subject task is bound to
-        another component. Unless the plan binds a subject task to the
-        subject, only the _off_plan instances can, so only they are visited.
-        Lazy, so a stop or recompose taken on the plan's rules visits no
-        instance."""
+        another component, so every rule kept binds its subject task to the
+        subject. Unless the plan binds a subject task to the subject, only
+        the instances that started a subject task on it can, so only the
+        started-task index entries of those tasks are visited, in instance
+        start order. Lazy, so a stop or recompose taken on the plan's rules
+        visits no instance."""
         subject = n.subject_component_id
-        plan = dict(self._plan.bindings)
-        yield None, plan, [
+        plan = self._bound
+        yield None, [
             r for r in self._service_rules if r.event_type is n.type and plan.get(r.subject_task_id) == subject
         ]
         rules = [r for r in self._instance_rules if r.event_type is n.type]
@@ -559,17 +585,14 @@ class DeployedService:
         tasks = dict.fromkeys(r.subject_task_id for r in rules)
         if any(plan.get(t) == subject for t in tasks):
             instances = self.live_instances()
-        else:
-            buckets = [b for t in tasks if (b := self._off_plan.get((t, subject)))]
-            if len(buckets) == 1:
-                instances = list(buckets[0].values())
-            else:  # ids count up from i1 in start order
-                union = {iid: inst for b in buckets for iid, inst in b.items()}
-                instances = [union[iid] for iid in sorted(union, key=lambda iid: int(iid[1:]))]
+        else:  # an entry holds task-start order; ids count up from i1 in instance start order
+            union = {iid: inst for t in tasks for iid, inst in self._start_index.get((t, subject), {}).items()}
+            instances = [union[iid] for iid in sorted(union, key=lambda iid: int(iid[1:]))]
         for inst in instances:
-            hit = [r for r in rules if inst.bindings.get(r.subject_task_id) == subject]
+            started = inst._started
+            hit = [r for r in rules if started.get(r.subject_task_id, plan.get(r.subject_task_id)) == subject]
             if hit:
-                yield inst, inst.bindings, hit
+                yield inst, hit
 
     def _execute_action(
         self, rule: AdaptationRule, n: Notification, inst: ProcessInstance | None
@@ -627,13 +650,12 @@ class DeployedService:
             levels = self.threat_state.snapshot()
             self._prune_flags(levels, keep=flagged_component_id)
 
-            old_plan = self._plan
+            old_plan, old = self._plan, self._bound
             plan = select_plan(self._candidates, levels, self._flagged.keys())
             if plan is not None:
-                self._plan = plan
-                old = dict(old_plan.bindings)
+                self._plan, self._bound = plan, dict(plan.bindings)
                 changed = [(t, c) for t, c in plan.bindings if old.get(t) != c]
-                adopted = self._adopt_bindings(plan.plan_id, changed)
+                rebound = self._adopt_bindings(changed)
                 self._log(
                     EventKind.ACTION_TAKEN,
                     {
@@ -648,7 +670,7 @@ class DeployedService:
                         "from": old_plan.plan_id,
                         "to": plan.plan_id,
                         "flagged": flagged_component_id,
-                        "rebound": ",".join(adopted),
+                        "rebound": ",".join(rebound),
                     },
                 )
                 return RecomposeResult(switched=True, new_plan_id=plan.plan_id)
@@ -685,30 +707,15 @@ class DeployedService:
             if not any(p is None or p.satisfied_by(level) for p in thresholds[threat_id]):
                 del self._flagged[comp_id]
 
-    def _adopt_bindings(self, plan_id: str, changed: list[tuple[str, str]]) -> list[str]:
-        """notStarted tasks of live instances take the new component of each
-        changed (task, component) pair, in plan task order; active/completed
-        tasks keep their component and results. A notStarted task already
-        holds the old active plan's component, so unchanged tasks need no
-        write. A started task whose kept component the plan leaves is filed
-        in _off_plan, and a task's filed instances leave it once the plan
-        binds the task to their component again."""
-        not_started = TaskStatus.NOT_STARTED
-        off_plan = self._off_plan
-        rebinds = []
-        for task_id, comp_id in changed:
-            off_plan.pop((task_id, comp_id), None)
-            rebinds.append((task_id, comp_id, f":{task_id}:{comp_id}"))
-        adopted = []
-        for inst in self._live.values():
-            inst.plan_id = plan_id
-            for task_id, comp_id, suffix in rebinds:
-                if inst.task_status[task_id] is not_started:
-                    adopted.append(inst.instance_id + suffix)
-                    inst.bindings[task_id] = comp_id
-                elif (kept := inst.bindings[task_id]) != comp_id:
-                    off_plan.setdefault((task_id, kept), {})[inst.instance_id] = inst
-        return adopted
+    def _adopt_bindings(self, changed: list[tuple[str, str]]) -> list[str]:
+        """The `rebound` entries of a switch to the plan that changed the
+        (task, component) pairs listed, in plan task order: one
+        "task:component:count" per changed task, counting the live instances
+        that had not started the task and so now read its new component,
+        left out at 0. A started task keeps the component it started on, so
+        no live instance is touched."""
+        live = len(self._live)
+        return [f"{t}:{c}:{k}" for t, c in changed if (k := live - self._start_counts[t])]
 
     def act_launch(self, process_ref: str, variables: dict | None = None) -> str | None:
         """The started auxiliary instance's id, or None for an unknown

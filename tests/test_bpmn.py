@@ -562,6 +562,19 @@ LATER_FORK = [("start", "t"), ("t", "g"), ("g", "x"), ("g", "y"), ("x", "j"), ("
 EARLIER_FORK = [("start", "g"), ("g", "x"), ("g", "y"), ("x", "j"), ("y", "j"), ("j", "t"), ("t", "end")]
 
 
+def _with_vars(pm, **tasks):
+    """pm with each task named given its (input variables, output variable)."""
+    return replace(pm, nodes=tuple(
+        replace(n, input_vars=tasks[n.id][0], output_var=tasks[n.id][1]) if n.id in tasks else n for n in pm.nodes
+    ))
+
+
+# a sets x; b, and in the longer chain c after it, read x
+SETS_X = [("start", "a"), ("a", "b"), ("b", "end")]
+SETS_X_READ_LATER = [("start", "a"), ("a", "b"), ("b", "c"), ("c", "end")]
+EARLIER_SETS_X = [("start", "p"), ("p", "a"), ("a", "b"), ("b", "end")]
+
+
 def _forked(edges, *triples):
     """flow_model of edges with the handlers of triples; an end event 'end-h'
     is added when a handler targets it."""
@@ -599,6 +612,18 @@ HANDLERS_STRANDED = {
         ["boundary events 'boundary-a-T-A' and 'boundary-b-T-B' carry tokens out of fork 'g' from two of its branches"],
         "token re-entered completed task 'c'",
     ),
+    "past-the-task-setting-its-input": (
+        lambda: _with_vars(_forked(SETS_X, ("a", "T-A", "b")), a=((), "x"), b=(("x",), "")), ["a"],
+        ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'b' without its input variable 'x': "
+         "no task before task 'a' sets it"],
+        "task 'b' lacks input variables ['x']",
+    ),
+    "past-the-task-setting-a-later-input": (
+        lambda: _with_vars(_forked(SETS_X_READ_LATER, ("a", "T-A", "b")), a=((), "x"), c=(("x",), "")), ["a"],
+        ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'c' without its input variable 'x': "
+         "no task before task 'a' sets it"],
+        "task 'c' lacks input variables ['x']",
+    ),
 }
 
 
@@ -619,6 +644,8 @@ HANDLERS_KEPT = {
     "to-a-later-fork": lambda: _forked(LATER_FORK, ("t", "T-A", "g")),
     "out-of-two-branches-to-ends": lambda: _forked(SIBLINGS, ("a", "T-A", "end"), ("b", "T-B", "end-h")),
     "out-of-one-branch-and-to-its-join": lambda: _forked(SIBLINGS, ("a", "T-A", "c"), ("b", "T-B", "j")),
+    "past-a-task-whose-input-an-earlier-task-sets": lambda: _with_vars(
+        _forked(EARLIER_SETS_X, ("a", "T-A", "b")), p=((), "x"), a=((), "x"), b=(("x",), "")),
 }
 
 

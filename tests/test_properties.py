@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 from xml.sax.saxutils import quoteattr
@@ -263,7 +264,22 @@ def test_select_plan_matches_first_passing_ranked_plan(case):
 class FullScanService(runtime.DeployedService):
     """Reference for the alert path: live instances found by scanning every
     instance, every instance rule evaluated against every live instance, and
-    a plan switch that rewrites every notStarted task from the new plan."""
+    each instance's plan id and bindings kept in `eager`, copied from the
+    plan at start; a plan switch rewrites every notStarted task of every live
+    instance there from the new plan and counts the rewrites per task."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.eager = {}  # instance id -> [plan id, bindings]
+
+    def start_instance(self, variables, run=True):
+        with self._lock:
+            plan = self._plan
+            iid = super().start_instance(variables, run=False)
+            self.eager[iid] = [plan.plan_id, dict(plan.bindings)]
+            if run:
+                self.run_instance(iid)
+            return iid
 
     def live_instances(self):
         return [i for i in self.instances.values() if i.outcome is Outcome.IN_PROGRESS]
@@ -297,7 +313,7 @@ class FullScanService(runtime.DeployedService):
 
             actions = []
             targets = [(None, dict(self._plan.bindings), self._service_rules)]
-            targets += [(i, i.bindings, self._instance_rules) for i in self.live_instances()]
+            targets += [(i, self.eager[i.instance_id][1], self._instance_rules) for i in self.live_instances()]
             for inst, bindings, rules in targets:
                 position = inst.position() if inst else InstancePosition()
                 for rule in rules:
@@ -312,16 +328,17 @@ class FullScanService(runtime.DeployedService):
                             return actions
             return actions
 
-    def _adopt_bindings(self, plan_id, changed):
-        adopted = []
+    def _adopt_bindings(self, changed):
+        rewrites = Counter()
         for inst in self.live_instances():
-            inst.plan_id = plan_id
+            eager = self.eager[inst.instance_id]
+            eager[0] = self._plan.plan_id
             for task_id, comp_id in self._plan.bindings:
                 if inst.task_status.get(task_id) is TaskStatus.NOT_STARTED:
-                    if inst.bindings.get(task_id) != comp_id:
-                        adopted.append(f"{inst.instance_id}:{task_id}:{comp_id}")
-                    inst.bindings[task_id] = comp_id
-        return adopted
+                    if eager[1].get(task_id) != comp_id:
+                        rewrites[task_id] += 1
+                    eager[1][task_id] = comp_id
+        return [f"{t}:{c}:{rewrites[t]}" for t, c in self._plan.bindings if rewrites[t]]
 
 
 class CaseInvoker(runtime.ComponentInvoker):
@@ -438,12 +455,20 @@ def _apply(svc, op, seq, components):
         return str(exc)
 
 
+def _bound(svc, inst):
+    """An instance's plan id and bindings: the reference's eager copies, or
+    what the service reports."""
+    if isinstance(svc, FullScanService):
+        return tuple(svc.eager[inst.instance_id])
+    return inst.plan_id, inst.bindings
+
+
 def _state(svc):
     return (
         svc.status,
         svc.active_plan_id,
         [i.instance_id for i in svc.live_instances()],
-        {iid: (i.outcome, i.plan_id, dict(i.bindings), dict(i.task_status)) for iid, i in svc.instances.items()},
+        {iid: (i.outcome, *_bound(svc, i), dict(i.task_status)) for iid, i in svc.instances.items()},
         [(e.seq, e.kind, e.detail) for e in svc.merged_log()],
     )
 

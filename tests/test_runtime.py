@@ -373,7 +373,7 @@ def test_recompose_adopts_bindings_for_not_started_tasks():
     assert inst.bindings["t1"] == "t1-c1"  # active task untouched
     assert inst.plan_id == svc.active_plan_id
     switch = next(e for e in svc.event_log if e.kind is EventKind.PLAN_SWITCHED)
-    assert f"{iid}:t2:{inst.bindings['t2']}" in switch.detail["rebound"]
+    assert switch.detail["rebound"] == f"t2:{inst.bindings['t2']}:1"
     svc.run_instance(iid)
     assert inst.outcome is Outcome.COMPLETED
 
@@ -682,7 +682,10 @@ def _reached(svc, subject, probability, seq, monkeypatch):
 
 
 def _filed(svc):
-    return {key: list(bucket) for key, bucket in svc._off_plan.items()}
+    """The off-plan view of the started-task index: its entries whose task
+    the active plan binds to another component."""
+    plan = dict(svc.active_plan().bindings)
+    return {key: list(bucket) for key, bucket in svc._start_index.items() if plan[key[0]] != key[1]}
 
 
 def test_an_alert_reaches_the_instances_a_switch_left_on_its_subject(monkeypatch):
@@ -690,7 +693,7 @@ def test_an_alert_reaches_the_instances_a_switch_left_on_its_subject(monkeypatch
     # two instances that started t1 on A, in start order
     svc = _pinned_service({"t1": 3})
     first, second = _pin_t1(svc), _pin_t1(svc)
-    assert svc._off_plan == {}
+    assert _filed(svc) == {}
     svc.on_notification(threat_notification("t1-c1", 0.9, seq=1))
     assert svc.active_plan().binding_for("t1") == "t1-c2"
     rebound = svc.start_instance({}, run=False)
@@ -786,17 +789,17 @@ def test_finished_stopped_and_evicted_instances_leave_no_off_plan_entry():
         svc.on_notification(threat_notification(flagged, 0.9, seq=2 * k + 1))
         svc.on_notification(threat_notification(flagged, 0.1, seq=2 * k + 2))
         assert svc.active_plan().binding_for("t1") != flagged
-        assert iid in svc._off_plan[("t1", flagged)]
+        assert iid in _filed(svc)[("t1", flagged)]
         if k % 100 == 0:
             held.append(iid)
             continue
         svc.run_instance(iid)
         assert svc.instances[iid].outcome is Outcome.COMPLETED
-        assert iid not in svc._off_plan.get(("t1", flagged), {})
+        assert iid not in _filed(svc).get(("t1", flagged), [])
     assert svc.evicted_outcomes[Outcome.COMPLETED] > 0
-    assert {iid for bucket in svc._off_plan.values() for iid in bucket} <= set(held)
+    assert {iid for bucket in _filed(svc).values() for iid in bucket} <= set(held)
     svc.act_stop()
-    assert svc._off_plan == {}
+    assert _filed(svc) == {}
 
 
 def test_plan_switch_rebinds_changed_not_started_tasks_in_instance_then_task_order():
@@ -813,10 +816,87 @@ def test_plan_switch_rebinds_changed_not_started_tasks_in_instance_then_task_ord
 
     assert svc.act_recompose("shared").new_plan_id == "t1-c1+t2-alt+t3-alt"
     switch = next(e for e in svc.event_log if e.kind is EventKind.PLAN_SWITCHED)
-    assert switch.detail["rebound"] == f"{past_t1}:t3:t3-alt,{at_t1}:t2:t2-alt,{at_t1}:t3:t3-alt"
+    assert switch.detail["rebound"] == "t2:t2-alt:1,t3:t3-alt:2"
     assert svc.instances[past_t1].bindings == {"t1": "t1-c1", "t2": "shared", "t3": "t3-alt"}
     assert svc.instances[at_t1].bindings == {"t1": "t1-c1", "t2": "t2-alt", "t3": "t3-alt"}
     assert {svc.instances[i].plan_id for i in (past_t1, at_t1)} == {"t1-c1+t2-alt+t3-alt"}
+
+
+class _Unwalkable(dict):
+    """A dict whose iteration fails: what a plan switch may not do to _live."""
+
+    def __iter__(self):
+        raise AssertionError("the plan switch walked the live instances")
+
+    keys = values = items = __iter__
+
+
+def test_a_plan_switch_touches_no_live_instance():
+    svc = make_service(counts={"t1": 2})
+    held = [svc.start_instance({"seed": k}, run=False) for k in range(5_000)]
+    live, svc._live = svc._live, _Unwalkable(svc._live)
+    result = svc.act_recompose("t1-c1")
+    svc._live = live
+    assert result == runtime.RecomposeResult(switched=True, new_plan_id="t1-c2+t2-c1")
+    switch = next(e for e in svc.event_log if e.kind is EventKind.PLAN_SWITCHED)
+    assert switch.detail["rebound"] == "t1:t1-c2:5000"
+    for iid in (held[0], held[-1]):
+        assert (svc.instances[iid].plan_id, svc.instances[iid].bindings) == ("t1-c2+t2-c1", {"t1": "t1-c2", "t2": "t2-c1"})
+
+
+def test_a_started_task_keeps_its_component_and_a_task_not_started_reads_the_plan():
+    invoker = ScriptedInvoker(delays={"t1-c1": 3})
+    svc = make_service(pm=linear_model(wired=False), counts={"t1": 2, "t2": 2}, invoker=invoker)
+    iid = svc.start_instance({}, run=False)
+    svc.step(iid)
+    svc.step(iid)  # start, then t1 active on t1-c1
+    inst = svc.instances[iid]
+    svc.act_recompose("t1-c1")
+    svc.act_recompose("t2-c1")
+    assert (svc.active_plan_id, inst.plan_id) == ("t1-c2+t2-c2",) * 2
+    assert inst.bindings == {"t1": "t1-c1", "t2": "t2-c2"}
+    assert svc._start_index == {("t1", "t1-c1"): {iid: inst}}
+    assert svc.run_instance(iid).outcome is Outcome.COMPLETED
+    assert [call[0] for call in invoker.calls] == ["t1-c1", "t2-c2"]
+    assert [e.detail["component"] for e in inst.event_log] == ["t1-c1", "t1-c1", "t2-c2", "t2-c2"]
+    assert svc._start_index == {}
+
+
+def test_bindings_and_plan_id_freeze_when_an_instance_completes_is_stopped_or_is_evicted():
+    svc = make_service(pm=linear_model(wired=False), counts={"t1": 3, "t2": 3},
+                       invoker=ScriptedInvoker(delays={"t1-c1": 50}))
+    svc.invoker.delays = {}
+    evicted = svc.instances[svc.start_instance({})]
+    for _ in range(runtime.FINISHED_RETENTION):
+        completed = svc.instances[svc.start_instance({})]
+    assert evicted.instance_id not in svc.instances and svc.evicted_outcomes[Outcome.COMPLETED] == 1
+    svc.invoker.delays = {"t1-c1": 50}
+    stopped = svc.instances[svc.start_instance({}, run=False)]
+    svc.step(stopped.instance_id)
+    svc.step(stopped.instance_id)  # start, then t1 active on t1-c1
+    svc.act_recompose("t1-c1")
+    svc.act_recompose("t2-c1")
+    svc.act_stop()
+    svc.act_recompose("t2-c2")  # a stopped service still switches plans
+    assert svc.active_plan_id == "t1-c2+t2-c3"
+    for inst in (evicted, completed):
+        assert (inst.outcome, inst.plan_id, inst.bindings) == (
+            Outcome.COMPLETED, "t1-c1+t2-c1", {"t1": "t1-c1", "t2": "t2-c1"})
+    assert (stopped.outcome, stopped.plan_id, stopped.bindings) == (
+        Outcome.STOPPED_BY_RULE, "t1-c2+t2-c2", {"t1": "t1-c1", "t2": "t2-c2"})
+    assert stopped.bindings is not stopped.bindings  # a new dict on each read
+
+
+def test_act_stop_empties_the_started_task_index():
+    svc = _pinned_service({"t1": 2})
+    first, second = _pin_t1(svc), _pin_t1(svc)
+    svc.on_notification(threat_notification("t1-c1", 0.9, seq=1))
+    on_b = _pin_t1(svc)
+    assert {key: list(bucket) for key, bucket in svc._start_index.items()} == {
+        ("t1", "t1-c1"): [first, second], ("t1", "t1-c2"): [on_b]}
+    assert svc._start_counts == {"t1": 3, "t2": 0}
+    svc.act_stop()
+    assert (svc._start_index, svc._start_counts) == ({}, {"t1": 0, "t2": 0})
 
 
 def test_parse_deploy_serialize_checks_the_graph_once(monkeypatch):
