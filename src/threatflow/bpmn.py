@@ -14,10 +14,12 @@ reachability needs no check of its own. A boundary handler moves its
 task's token forward into no fork branch but those open at the task, and
 one branch of a fork at most sends handler tokens out of it to other nodes
 than end events, and every input variable of its target and of the tasks
-after it is a process input or set by a task before its own. So no handler
-closes a cycle or skips the task that sets an input it needs, and a run
-whose tasks raise handled threats completes unless the flows themselves
-put a task before the task that sets its input.
+after it is a process input or set by a task that still completes before
+it when the handler fires. So no handler closes a cycle or skips every
+task that sets an input it needs, and a run whose tasks raise handled
+threats completes unless the flows themselves put a task before the task
+that sets its input, or the faults of one run skip every task that sets
+it.
 
 Models are immutable values, and a model value is validated once: its
 violations are kept on it, so parse, deploy and serialize check it a single
@@ -301,7 +303,8 @@ def _check_structure(pm: ProcessModel) -> list[str]:
     the handlers whose tokens leave a fork for other nodes than end events
     must all lie in one of its branches, and each input variable of the
     target and of the tasks after it must be a process input or set by a
-    task before the handler's task (_unset_input).
+    task that still completes before it when the handler's task faults
+    (_unset_input).
 
     Reachability needs no check of its own: by the degree rules and acyclic
     flows, a walk back along incoming flows from any node but a handler-fed
@@ -335,6 +338,7 @@ def _check_structure(pm: ProcessModel) -> list[str]:
 
     at = {n.id: k for k, n in enumerate(idx.order)}
     leaving: dict[str, tuple[str, str]] = {}  # fork -> branch head and boundary id of the first handler out
+    before: dict[str, set[str]] = {}  # filled at the first handler whose target is no end event
     for b in pm.boundary_events():
         if isinstance(idx.nodes[x := b.handler_target], EndEvent):
             continue
@@ -356,37 +360,46 @@ def _check_structure(pm: ProcessModel) -> list[str]:
             if clash:
                 v.append(f"boundary events {leaving[clash][1]!r} and {b.id!r} carry tokens out of fork "
                          f"{clash!r} from two of its branches")
-            if unset := _unset_input(idx, b.attached_to, x):
+            before = before or _paths_into(idx)
+            if unset := _unset_input(idx, before, b.attached_to, x):
                 v.append(f"boundary event {b.id!r} handler target {x!r} runs task {unset[0]!r} without its "
-                         f"input variable {unset[1]!r}: no task before task {b.attached_to!r} sets it")
+                         f"input variable {unset[1]!r}: no task that sets it completes before task "
+                         f"{unset[0]!r} when task {b.attached_to!r} faults")
     return v
 
 
-def _unset_input(idx: ProcessIndex, task_id: str, target: str) -> tuple[str, str] | None:
+def _paths_into(idx: ProcessIndex) -> dict[str, set[str]]:
+    """Each node's id -> the nodes on some path of flows into it."""
+    before: dict[str, set[str]] = {nid: set() for nid in idx.nodes}
+    for n in idx.order:
+        for nxt in idx.successors[n.id]:
+            before[nxt] |= before[n.id]
+            before[nxt].add(n.id)
+    return before
+
+
+def _unset_input(
+    idx: ProcessIndex, before: dict[str, set[str]], task_id: str, target: str
+) -> tuple[str, str] | None:
     """The first (task, input variable), in topological order, of the target
-    or a task after it, that is set by some task but by none before task_id,
-    the tasks that always complete before it starts; None if there is none.
-    A variable no task sets is a process input, given at start."""
-    preds: dict[str, list[str]] = {}
-    for nid, succ in idx.successors.items():
-        for nxt in succ:
-            preds.setdefault(nxt, []).append(nid)
-    before = {idx.nodes[n].output_var for n in _reach(task_id, preds) if isinstance(idx.nodes[n], ServiceTask)}
-    produced = {t.output_var for t in idx.service_tasks if t.output_var}
-    after = _reach(target, idx.successors) | {target}
-    return next(((t.id, var) for t in idx.service_tasks if t.id in after
-                 for var in t.input_vars if var in produced and var not in before), None)
+    or a task after it, that some task sets but none that completes before
+    it when task_id faults; None if there is none. A variable no task sets is
+    a process input, given at start.
 
-
-def _reach(node_id: str, edges: dict[str, list[str]]) -> set[str]:
-    """The nodes reached from node_id along edges, node_id not included."""
-    seen: set[str] = set()
-    frontier = list(edges.get(node_id, ()))
-    while frontier:
-        if (nid := frontier.pop()) not in seen:
-            seen.add(nid)
-            frontier += edges.get(nid, ())
-    return seen
+    The handler's token skips task_id's output and the nodes from it to the
+    target. The other branches of a fork the token leaves end at its skipped
+    join, so the nodes before a skipped node but not before task_id never
+    hold up a reader after the target; the other nodes before it do."""
+    skipped = {n for n, b in before.items() if (n == task_id or task_id in b) and n != target and target not in b}
+    dropped = skipped.union(*(before[n] for n in skipped)) - before[task_id]
+    sets = {t.id: t.output_var for t in idx.service_tasks if t.output_var}
+    produced = set(sets.values())
+    for t in idx.service_tasks:
+        if t.id == target or target in before[t.id]:
+            done = {sets[n] for n in before[t.id] - dropped if n in sets}
+            if var := next((var for var in t.input_vars if var in produced and var not in done), None):
+                return t.id, var
+    return None
 
 
 # --- operations ---------------------------------------------------------------

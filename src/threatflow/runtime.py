@@ -231,10 +231,8 @@ class DeployedService:
         tasks = self._tasks = index.service_tasks
         self._task_ids = [t.id for t in tasks]
         # the started-task index: (task id, component) -> the live instances,
-        # in task-start order, that started that task on that component; and
-        # task id -> how many live instances started it
+        # in task-start order, that started that task on that component
         self._start_index: dict[tuple[str, str], dict[str, ProcessInstance]] = {}
-        self._start_counts = dict.fromkeys(self._task_ids, 0)
         self._nodes = index.nodes
         self._successors = index.successors
         self._indegree = index.indegree
@@ -402,7 +400,6 @@ class DeployedService:
             del bucket[instance_id]
             if not bucket:
                 del self._start_index[key]
-            self._start_counts[key[0]] -= 1
         self._finished.append(instance_id)
         if len(self._finished) > FINISHED_RETENTION:
             self.evicted_outcomes[self.instances.pop(self._finished.popleft()).outcome] += 1
@@ -415,7 +412,6 @@ class DeployedService:
         if status is TaskStatus.NOT_STARTED:
             comp_id = inst._started[task.id] = self._bound[task.id]
             self._start_index.setdefault((task.id, comp_id), {})[inst.instance_id] = inst
-            self._start_counts[task.id] += 1
             inst.task_status[task.id] = TaskStatus.ACTIVE
             self._log(
                 EventKind.TASK_STARTED,
@@ -714,8 +710,11 @@ class DeployedService:
         that had not started the task and so now read its new component,
         left out at 0. A started task keeps the component it started on, so
         no live instance is touched."""
+        started = Counter()
+        for (t, _), bucket in self._start_index.items():
+            started[t] += len(bucket)
         live = len(self._live)
-        return [f"{t}:{c}:{k}" for t, c in changed if (k := live - self._start_counts[t])]
+        return [f"{t}:{c}:{k}" for t, c in changed if (k := live - started[t])]
 
     def act_launch(self, process_ref: str, variables: dict | None = None) -> str | None:
         """The started auxiliary instance's id, or None for an unknown

@@ -573,6 +573,14 @@ def _with_vars(pm, **tasks):
 SETS_X = [("start", "a"), ("a", "b"), ("b", "end")]
 SETS_X_READ_LATER = [("start", "a"), ("a", "b"), ("b", "c"), ("c", "end")]
 EARLIER_SETS_X = [("start", "p"), ("p", "a"), ("a", "b"), ("b", "end")]
+# a handler from a to m; m, or s after it, sets what b reads
+CHAIN = [("start", "a"), ("a", "m"), ("m", "b"), ("b", "end")]
+CHAIN_SET_BETWEEN = [("start", "a"), ("a", "m"), ("m", "s"), ("s", "b"), ("b", "end")]
+# g forks to a then a2, and to s, or to s0 then s; joined at j, then b
+SIBLING_SETS = [("start", "g"), ("g", "a"), ("g", "s"), ("a", "a2"), ("a2", "j"), ("s", "j"),
+                ("j", "b"), ("b", "end")]
+SIBLING_SETS_LATER = [("start", "g"), ("g", "a"), ("g", "s0"), ("s0", "s"), ("a", "j"), ("s", "j"),
+                      ("j", "b"), ("b", "end")]
 
 
 def _forked(edges, *triples):
@@ -615,14 +623,20 @@ HANDLERS_STRANDED = {
     "past-the-task-setting-its-input": (
         lambda: _with_vars(_forked(SETS_X, ("a", "T-A", "b")), a=((), "x"), b=(("x",), "")), ["a"],
         ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'b' without its input variable 'x': "
-         "no task before task 'a' sets it"],
+         "no task that sets it completes before task 'b' when task 'a' faults"],
         "task 'b' lacks input variables ['x']",
     ),
     "past-the-task-setting-a-later-input": (
         lambda: _with_vars(_forked(SETS_X_READ_LATER, ("a", "T-A", "b")), a=((), "x"), c=(("x",), "")), ["a"],
         ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'c' without its input variable 'x': "
-         "no task before task 'a' sets it"],
+         "no task that sets it completes before task 'c' when task 'a' faults"],
         "task 'c' lacks input variables ['x']",
+    ),
+    "out-of-a-fork-whose-other-branch-sets-its-input": (
+        lambda: _with_vars(_forked(SIBLING_SETS_LATER, ("a", "T-A", "b")), s=((), "x"), b=(("x",), "")), ["a"],
+        ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'b' without its input variable 'x': "
+         "no task that sets it completes before task 'b' when task 'a' faults"],
+        "task 'b' lacks input variables ['x']",
     ),
 }
 
@@ -646,6 +660,14 @@ HANDLERS_KEPT = {
     "out-of-one-branch-and-to-its-join": lambda: _forked(SIBLINGS, ("a", "T-A", "c"), ("b", "T-B", "j")),
     "past-a-task-whose-input-an-earlier-task-sets": lambda: _with_vars(
         _forked(EARLIER_SETS_X, ("a", "T-A", "b")), p=((), "x"), a=((), "x"), b=(("x",), "")),
+    "to-a-target-that-sets-a-later-input": lambda: _with_vars(
+        _forked(CHAIN, ("a", "T-A", "m")), m=((), "x"), b=(("x",), "")),
+    "to-a-target-before-the-task-that-sets-a-later-input": lambda: _with_vars(
+        _forked(CHAIN_SET_BETWEEN, ("a", "T-A", "m")), s=((), "x"), b=(("x",), "")),
+    "inside-a-fork-whose-other-branch-sets-a-later-input": lambda: _with_vars(
+        _forked(SIBLING_SETS, ("a", "T-A", "a2")), s=((), "x"), b=(("x",), "")),
+    "to-the-join-of-a-fork-whose-other-branch-sets-a-later-input": lambda: _with_vars(
+        _forked(SIBLING_SETS, ("a", "T-A", "j")), s=((), "x"), b=(("x",), "")),
 }
 
 

@@ -810,13 +810,14 @@ def _after(pm, node_id):
 
 
 @st.composite
-def nested_models(draw, forward_only=False):
+def nested_models(draw, forward_only=False, variables=False):
     """Valid structured models: sequences of tasks and forks whose branches
     are sequences again, nested up to three deep, with 2-4 branches, some
     branches empty, and 1-4 boundary handlers. A handler targets any node,
     boundary events included, or half the time (always if forward_only) a
     node after its task, so that both the handler sets validate refuses and
-    those it keeps are common."""
+    those it keeps are common. With variables, each task may set x or y and
+    read those that a task before it sets."""
     nodes, flows, ids = [bpmn.StartEvent(id="start")], [], itertools.count()
 
     def link(a, b):
@@ -859,6 +860,16 @@ def nested_models(draw, forward_only=False):
     ))
     if handler_end and all(b.handler_target != "end-h" for b in pm.boundary_events()):
         pm = replace(pm, nodes=tuple(n for n in pm.nodes if n.id != "end-h"))
+    if variables:
+        outputs = {t: draw(st.sampled_from(["", "x", "y"])) for t in tasks}
+        inputs = {}
+        for t in tasks:
+            earlier = sorted({outputs[u] for u in tasks if t in _after(pm, u)} - {""})
+            inputs[t] = tuple(draw(st.lists(st.sampled_from(earlier), unique=True))) if earlier else ()
+        pm = replace(pm, nodes=tuple(
+            replace(n, output_var=outputs[n.id], input_vars=inputs[n.id]) if isinstance(n, bpmn.ServiceTask) else n
+            for n in pm.nodes
+        ))
     return pm
 
 
@@ -922,7 +933,12 @@ def _reference_handlers(pm):
     and that some flow enters lying only in branches its task lies in. The
     handlers that leave a fork for any node but an end event lie in one of
     its branches: a handler leaving it from another branch than the first
-    one does, in model order, is refused."""
+    one does, in model order, is refused. Each handler kept so far must then
+    leave every input variable of a task the target reaches set by a task
+    other than its own that reaches that task along the flows a fault of its
+    task leaves: those of the nodes its task reaches but the target does
+    not, which the token skips, dropped, and one from its task to the
+    target added."""
     nodes = {n.id: n for n in pm.nodes}
     reach = {nid: {nid} for nid in nodes}
     changed = True
@@ -973,11 +989,37 @@ def _reference_handlers(pm):
             if clash:
                 v.append(f"boundary events {leaving[clash][1]!r} and {b.id!r} carry tokens out of fork "
                          f"{clash!r} from two of its branches")
+            if unset := _reference_unset_input(pm, reach, task, target):
+                v.append(f"boundary event {b.id!r} handler target {target!r} runs task {unset[0]!r} without "
+                         f"its input variable {unset[1]!r}: no task that sets it completes before task "
+                         f"{unset[0]!r} when task {task!r} faults")
     return v
 
 
+def _reference_unset_input(pm, reach, task, target):
+    skipped = reach[task] - reach[target] - {task}
+    edges = [(f.from_node, f.to_node) for f in pm.flows
+             if f.from_node != task and not {f.from_node, f.to_node} & skipped] + [(task, target)]
+    sets = {t.id: t.output_var for t in pm.service_tasks() if t.output_var and t.id != task}
+    produced = {t.output_var for t in pm.service_tasks() if t.output_var}
+    for t in pm.index.service_tasks:
+        if t.id in reach[target]:
+            into, frontier = set(), [t.id]  # the nodes with a path of edges into t
+            while frontier:
+                nid = frontier.pop()
+                for a, b in edges:
+                    if b == nid and a not in into:
+                        into.add(a)
+                        frontier.append(a)
+            done = {sets[n] for n in into if n in sets}
+            for var in t.input_vars:
+                if var in produced and var not in done:
+                    return t.id, var
+    return None
+
+
 @settings(max_examples=400, deadline=None)
-@given(pm=degree_valid_graphs() | nested_models() | flow_swap_mutants())
+@given(pm=degree_valid_graphs() | nested_models() | nested_models(variables=True) | flow_swap_mutants())
 @example(pm=FORK_CLOSED_BY_TWO_JOINS)
 @example(pm=TWO_BRANCHES_OUT)
 def test_structure_check_matches_the_three_reference_walks(pm):
@@ -1010,6 +1052,25 @@ def test_a_run_completes_whichever_tasks_fault_once_validate_keeps_the_handlers(
     tasks = [b.attached_to for b in pm.boundary_events()]
     for faulting in itertools.chain.from_iterable(itertools.combinations(tasks, k) for k in range(len(tasks) + 1)):
         invoker = CaseInvoker(delays, {f"{t}-c1": "T1" for t in faulting})
+        svc = runtime.deploy(pm, reg, [], RankingCriteria(1.0, 0.0, 0.0), Broker(), invoker)
+        inst = svc.instances[svc.start_instance({})]
+        assert (inst.outcome, inst.error) == (Outcome.COMPLETED, None), faulting
+
+
+@settings(max_examples=300, deadline=None)
+@given(pm=nested_models(forward_only=True, variables=True), steps=st.lists(st.integers(0, 2), max_size=30))
+def test_a_run_completes_when_one_task_faults_once_validate_keeps_the_handlers_and_their_inputs(pm, steps):
+    """The runtime as oracle for the input-variable rule: in a model that
+    validate accepts, where a task before each task sets each of its inputs,
+    a run ends COMPLETED with no task faulting and whichever one task that
+    carries a handler faults, however the tasks' extra steps interleave the
+    branches."""
+    if bpmn.validate(pm):
+        return
+    reg = random_registry(random.Random(0), pm, max_candidates=1)
+    delays = {f"{t.id}-c1": d for t, d in zip(pm.service_tasks(), steps)}
+    for faulting in [None, *(b.attached_to for b in pm.boundary_events())]:
+        invoker = CaseInvoker(delays, {f"{faulting}-c1": "T1"} if faulting else {})
         svc = runtime.deploy(pm, reg, [], RankingCriteria(1.0, 0.0, 0.0), Broker(), invoker)
         inst = svc.instances[svc.start_instance({})]
         assert (inst.outcome, inst.error) == (Outcome.COMPLETED, None), faulting

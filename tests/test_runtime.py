@@ -894,9 +894,8 @@ def test_act_stop_empties_the_started_task_index():
     on_b = _pin_t1(svc)
     assert {key: list(bucket) for key, bucket in svc._start_index.items()} == {
         ("t1", "t1-c1"): [first, second], ("t1", "t1-c2"): [on_b]}
-    assert svc._start_counts == {"t1": 3, "t2": 0}
     svc.act_stop()
-    assert (svc._start_index, svc._start_counts) == ({}, {"t1": 0, "t2": 0})
+    assert svc._start_index == {}
 
 
 def test_parse_deploy_serialize_checks_the_graph_once(monkeypatch):
