@@ -710,7 +710,7 @@ class DeployedService:
         that had not started the task and so now read its new component,
         left out at 0. A started task keeps the component it started on, so
         no live instance is touched."""
-        started = Counter()
+        started: Counter[str] = Counter()
         for (t, _), bucket in self._start_index.items():
             started[t] += len(bucket)
         live = len(self._live)

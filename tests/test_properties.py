@@ -933,12 +933,12 @@ def _reference_handlers(pm):
     and that some flow enters lying only in branches its task lies in. The
     handlers that leave a fork for any node but an end event lie in one of
     its branches: a handler leaving it from another branch than the first
-    one does, in model order, is refused. Each handler kept so far must then
-    leave every input variable of a task the target reaches set by a task
-    other than its own that reaches that task along the flows a fault of its
-    task leaves: those of the nodes its task reaches but the target does
-    not, which the token skips, dropped, and one from its task to the
-    target added."""
+    one does, in model order, is refused. For each handler kept so far, the
+    flow graph of a run where its task faults drops the nodes its task
+    reaches but the target does not, and the flows out of its task, and
+    adds a flow from its task to the target; a task the target reaches must
+    find each input variable that some task sets set by another task than
+    the faulting one on a path of that graph into it."""
     nodes = {n.id: n for n in pm.nodes}
     reach = {nid: {nid} for nid in nodes}
     changed = True
