@@ -13,13 +13,11 @@ before its join. Every node is then reachable from the start, so
 reachability needs no check of its own. A boundary handler moves its
 task's token forward into no fork branch but those open at the task, and
 one branch of a fork at most sends handler tokens out of it to other nodes
-than end events, and every input variable of its target and of the tasks
-after it is a process input or set by a task that still completes before
-it when the handler fires. So no handler closes a cycle or skips every
-task that sets an input it needs, and a run whose tasks raise handled
-threats completes unless the flows themselves put a task before the task
-that sets its input, or the faults of one run skip every task that sets
-it.
+than end events. Each input variable of a task is a process input, set by
+no task, or set before the task runs in every run: whichever of the tasks
+fault and however the branches interleave, a task that sets it completes
+first. So no handler closes a cycle, and a run whose tasks raise handled
+threats completes whichever of them fault.
 
 Models are immutable values, and a model value is validated once: its
 violations are kept on it, so parse, deploy and serialize check it a single
@@ -292,19 +290,25 @@ def _check(pm: ProcessModel) -> list[str]:
 
 
 def _check_structure(pm: ProcessModel) -> list[str]:
-    """Acyclic flows, fork/join pairing and boundary handlers, in one pass
-    over the index's topological order, once the id, endpoint, boundary and
-    degree checks pass: the order then holds every node iff the flows are
-    acyclic. Each flow carries the forks open on it and the branch it is on:
-    a fork opens itself on each branch, a join must close the last fork on
-    every one of that fork's branches, and an end event must see none open.
-    A handler's target is then an end event, or a node after its task that
-    some flow enters carrying only forks and branches open at the task; and
-    the handlers whose tokens leave a fork for other nodes than end events
-    must all lie in one of its branches, and each input variable of the
-    target and of the tasks after it must be a process input or set by a
-    task that still completes before it when the handler's task faults
-    (_unset_input).
+    """Acyclic flows, fork/join pairing, boundary handlers and input
+    variables, in one pass over the index's topological order, once the id,
+    endpoint, boundary and degree checks pass: the order then holds every
+    node iff the flows are acyclic. Each flow carries the forks open on it
+    and the branch it is on: a fork opens itself on each branch, a join must
+    close the last fork on every one of that fork's branches, and an end
+    event must see none open. A handler's target is then an end event, or a
+    node after its task that some flow enters carrying only forks and
+    branches open at the task; and the handlers whose tokens leave a fork
+    for other nodes than end events must all lie in one of its branches.
+
+    Each arrival at a node, a flow or a handler, also carries the variables
+    that every run has set by then, of those that a task reads and some task
+    sets (a definite-assignment pass; none runs if there are none). A handler
+    carries what its task holds, without the task's output. A node holds
+    what all of its arrivals carry; a join, what any branch of its fork
+    carries on all of its arrivals, a handler counting for the branch of its
+    task; a task passes on its output too. A task that does not hold each
+    such input is refused, once the flows and handlers hold.
 
     Reachability needs no check of its own: by the degree rules and acyclic
     flows, a walk back along incoming flows from any node but a handler-fed
@@ -317,11 +321,42 @@ def _check_structure(pm: ProcessModel) -> list[str]:
     v: list[str] = []
     # (fork, branch head) pairs, outermost first; one tuple per incoming flow
     contexts: dict[str, list[tuple[tuple[str, str], ...]]] = {n.id: [] for n in pm.nodes}
+    tasks = idx.service_tasks
+    read = {var for t in tasks for var in t.input_vars}
+    # a bit for each variable that a task reads and some task sets: no other can be missing at a task
+    bit = {var: 1 << k for k, var in enumerate(read.intersection(t.output_var for t in tasks if t.output_var))}
+    # per flow and handler into a node: the context of the flow or of the handler's task, and the bits it carries
+    arrivals: dict[str, list[tuple[tuple[tuple[str, str], ...], int]]] = {n.id: [] for n in pm.nodes} if bit else {}
+    unset: list[str] = []
     for n in idx.order:  # a boundary event has no flows and passes through
         ins = contexts[n.id]
         out = ins[0] if ins else ()
         is_fork = isinstance(n, ParallelGateway) and n.direction is GatewayDirection.FORK
-        if isinstance(n, ParallelGateway) and not is_fork:
+        is_join = isinstance(n, ParallelGateway) and not is_fork
+        if bit and not isinstance(n, (EndEvent, ErrorBoundaryEvent)):  # the nodes that pass something on
+            got = arrivals[n.id]
+            if is_join:  # the meet within each branch of the fork it closes, joined over them
+                meets: dict[tuple[tuple[str, str], ...], int] = {}
+                for t, bits in got:
+                    branch = t[len(out) - 1:len(out)]
+                    meets[branch] = meets.get(branch, bits) & bits
+                held = 0
+                for bits in meets.values():
+                    held |= bits
+            else:  # the meet of all; the start has none
+                held = got[0][1] if got else 0
+                for _, bits in got:
+                    held &= bits
+            if isinstance(n, ServiceTask):
+                for var in n.input_vars:
+                    if var in bit and not held & bit[var]:
+                        unset.append(f"task {n.id!r} may run without its input variable {var!r}: a run "
+                                     "reaches it before any task that sets it completes")
+                        break
+                for b in idx.boundaries.get(n.id, {}).values():
+                    arrivals[b.handler_target].append((out, held))
+                held |= bit.get(n.output_var, 0)
+        if is_join:
             forks = [f for f, _ in out]
             branches = len(idx.successors[forks[-1]]) if out else 0
             if not out or any([f for f, _ in t] != forks for t in ins):
@@ -332,13 +367,15 @@ def _check_structure(pm: ProcessModel) -> list[str]:
         elif isinstance(n, EndEvent) and any(ins):
             v.append(f"end event {n.id!r} ends a branch of fork {next(t for t in ins if t)[-1][0]!r} before its join")
         for nxt in idx.successors[n.id]:
-            contexts[nxt].append(out + ((n.id, nxt),) if is_fork else out)
+            t = out + ((n.id, nxt),) if is_fork else out
+            contexts[nxt].append(t)
+            if bit:
+                arrivals[nxt].append((t, held))
     if v:
         return v
 
     at = {n.id: k for k, n in enumerate(idx.order)}
     leaving: dict[str, tuple[str, str]] = {}  # fork -> branch head and boundary id of the first handler out
-    before: dict[str, set[str]] = {}  # filled at the first handler whose target is no end event
     for b in pm.boundary_events():
         if isinstance(idx.nodes[x := b.handler_target], EndEvent):
             continue
@@ -360,46 +397,7 @@ def _check_structure(pm: ProcessModel) -> list[str]:
             if clash:
                 v.append(f"boundary events {leaving[clash][1]!r} and {b.id!r} carry tokens out of fork "
                          f"{clash!r} from two of its branches")
-            before = before or _paths_into(idx)
-            if unset := _unset_input(idx, before, b.attached_to, x):
-                v.append(f"boundary event {b.id!r} handler target {x!r} runs task {unset[0]!r} without its "
-                         f"input variable {unset[1]!r}: no task that sets it completes before task "
-                         f"{unset[0]!r} when task {b.attached_to!r} faults")
-    return v
-
-
-def _paths_into(idx: ProcessIndex) -> dict[str, set[str]]:
-    """Each node's id -> the nodes on some path of flows into it."""
-    before: dict[str, set[str]] = {nid: set() for nid in idx.nodes}
-    for n in idx.order:
-        for nxt in idx.successors[n.id]:
-            before[nxt] |= before[n.id]
-            before[nxt].add(n.id)
-    return before
-
-
-def _unset_input(
-    idx: ProcessIndex, before: dict[str, set[str]], task_id: str, target: str
-) -> tuple[str, str] | None:
-    """The first (task, input variable), in topological order, of the target
-    or a task after it, that some task sets but none that completes before
-    it when task_id faults; None if there is none. A variable no task sets is
-    a process input, given at start.
-
-    The handler's token skips task_id's output and the nodes from it to the
-    target. The other branches of a fork the token leaves end at its skipped
-    join, so the nodes before a skipped node but not before task_id never
-    hold up a reader after the target; the other nodes before it do."""
-    skipped = {n for n, b in before.items() if (n == task_id or task_id in b) and n != target and target not in b}
-    dropped = skipped.union(*(before[n] for n in skipped)) - before[task_id]
-    sets = {t.id: t.output_var for t in idx.service_tasks if t.output_var}
-    produced = set(sets.values())
-    for t in idx.service_tasks:
-        if t.id == target or target in before[t.id]:
-            done = {sets[n] for n in before[t.id] - dropped if n in sets}
-            if var := next((var for var in t.input_vars if var in produced and var not in done), None):
-                return t.id, var
-    return None
+    return v or unset
 
 
 # --- operations ---------------------------------------------------------------

@@ -532,8 +532,8 @@ def test_a_handler_to_a_later_task_is_kept():
 class FaultingInvoker(CountingInvoker):
     """Each component in faults raises the threat it maps to."""
 
-    def __init__(self, faults):
-        super().__init__({})
+    def __init__(self, faults, delays=None):
+        super().__init__(delays or {})
         self.faults = faults
 
     def invoke(self, component_id, operation_ref, inputs):
@@ -542,13 +542,14 @@ class FaultingInvoker(CountingInvoker):
         return super().invoke(component_id, operation_ref, inputs)
 
 
-def _run_faulting(pm, tasks, validated=True):
-    """One instance whose listed tasks raise their boundary threat, on a
-    service that deploy builds or, if not validated, built without deploy's
-    validation."""
+def _run_faulting(pm, tasks, validated=True, delays=None):
+    """One instance whose listed tasks raise their boundary threat, and
+    whose components take the extra steps in delays, on a service that
+    deploy builds or, if not validated, built without deploy's validation."""
     faults = {f"{b.attached_to}-c1": b.error_ref for b in pm.boundary_events() if b.attached_to in tasks}
     reg = random_registry(random.Random(0), pm, max_candidates=1)
-    setup = dict(rules=[], criteria=RankingCriteria(1.0, 0.0, 0.0), broker=Broker(), invoker=FaultingInvoker(faults))
+    setup = dict(rules=[], criteria=RankingCriteria(1.0, 0.0, 0.0), broker=Broker(),
+                 invoker=FaultingInvoker(faults, delays))
     if validated:
         svc = runtime.deploy(pm, reg, **setup)
     else:
@@ -592,6 +593,12 @@ def _forked(edges, *triples):
     return _handlers(pm, *triples)
 
 
+def _without_x(task):
+    """What validate reports for a task that may run without its input x."""
+    return (f"task {task!r} may run without its input variable 'x': a run reaches it before any task that "
+            "sets it completes")
+
+
 # shapes that no faulting run completes, with the failure the runtime reports
 # when the tasks named fault in a model that skipped validation
 HANDLERS_STRANDED = {
@@ -622,20 +629,46 @@ HANDLERS_STRANDED = {
     ),
     "past-the-task-setting-its-input": (
         lambda: _with_vars(_forked(SETS_X, ("a", "T-A", "b")), a=((), "x"), b=(("x",), "")), ["a"],
-        ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'b' without its input variable 'x': "
-         "no task that sets it completes before task 'b' when task 'a' faults"],
+        [_without_x("b")],
         "task 'b' lacks input variables ['x']",
     ),
     "past-the-task-setting-a-later-input": (
         lambda: _with_vars(_forked(SETS_X_READ_LATER, ("a", "T-A", "b")), a=((), "x"), c=(("x",), "")), ["a"],
-        ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'c' without its input variable 'x': "
-         "no task that sets it completes before task 'c' when task 'a' faults"],
+        [_without_x("c")],
         "task 'c' lacks input variables ['x']",
     ),
     "out-of-a-fork-whose-other-branch-sets-its-input": (
         lambda: _with_vars(_forked(SIBLING_SETS_LATER, ("a", "T-A", "b")), s=((), "x"), b=(("x",), "")), ["a"],
-        ["boundary event 'boundary-a-T-A' handler target 'b' runs task 'b' without its input variable 'x': "
-         "no task that sets it completes before task 'b' when task 'a' faults"],
+        [_without_x("b")],
+        "task 'b' lacks input variables ['x']",
+    ),
+    "two-faults-in-one-run": (
+        lambda: _with_vars(_forked(EARLIER_SETS_X, ("p", "T-P", "a"), ("a", "T-A", "b")),
+                           p=((), "x"), a=((), "x"), b=(("x",), "")), ["p", "a"],
+        [_without_x("b")],
+        "task 'b' lacks input variables ['x']",
+    ),
+    # a's handler carries its token out of the inner fork g2 to the join j of
+    # the outer fork g, past s; it counts for the branch of g that holds g2
+    "from-a-nested-fork-past-its-setter": (
+        lambda: _with_vars(_handlers(
+            flow_model([("start", "g"), ("g", "g2"), ("g", "j"), ("g2", "a"), ("g2", "c"), ("a", "j2"),
+                        ("c", "j2"), ("j2", "s"), ("s", "j"), ("j", "b"), ("b", "end")],
+                       forks={"g", "g2"}, joins={"j", "j2"}),
+            ("a", "T-A", "j"),
+        ), s=((), "x"), b=(("x",), "")), ["a"],
+        [_without_x("b")],
+        "task 'b' lacks input variables ['x']",
+    ),
+    # p's handler skips a, so the branch of g through p reaches j without x,
+    # though a's handler, the first to reach j, carries x there
+    "into-a-join-from-a-branch-that-may-skip-its-setter": (
+        lambda: _with_vars(_handlers(
+            flow_model([("start", "g"), ("g", "p"), ("g", "z"), ("p", "a"), ("a", "q"), ("q", "j"),
+                        ("z", "j"), ("j", "b"), ("b", "end")], forks={"g"}, joins={"j"}),
+            ("p", "T-P", "q"), ("a", "T-A", "j"),
+        ), p=((), "x"), b=(("x",), "")), ["p"],
+        [_without_x("b")],
         "task 'b' lacks input variables ['x']",
     ),
 }
@@ -681,3 +714,27 @@ def test_a_handler_forward_inside_the_open_forks_is_kept_and_completes(case):
         for faulting in itertools.combinations(tasks, k):
             inst = _run_faulting(pm, faulting)
             assert (inst.outcome, inst.error) == (runtime.Outcome.COMPLETED, None), faulting
+
+
+# shapes without handlers where some run reaches a task before any task that
+# sets its input x completes, with the extra steps components take in that run
+INPUTS_UNSET = {
+    "read-before-its-setter": (
+        lambda: _with_vars(flow_model([("start", "t1"), ("t1", "t2"), ("t2", "end")]),
+                           t1=(("x",), ""), t2=((), "x")),
+        {}, "t1",
+    ),
+    "read-from-a-sibling-branch": (lambda: _with_vars(_forked(SIBLINGS), a=((), "x"), b=(("x",), "")),
+                                   {"a-c1": 1}, "b"),
+}
+
+
+@pytest.mark.parametrize("case", INPUTS_UNSET)
+def test_a_task_that_a_run_reaches_before_its_input_is_set_is_refused(case):
+    make, delays, reader = INPUTS_UNSET[case]
+    pm = make()
+    assert bpmn.validate(pm) == [_without_x(reader)]
+    with pytest.raises(ValidationError):
+        _run_faulting(pm, [])
+    inst = _run_faulting(pm, [], validated=False, delays=delays)
+    assert (inst.outcome, inst.error) == (runtime.Outcome.FAILED, f"task {reader!r} lacks input variables ['x']")

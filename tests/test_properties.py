@@ -478,7 +478,8 @@ def _state(svc):
 def test_alert_path_matches_the_full_scan_reference(case):
     """Same actions, events, bindings and live set as the full scan; the
     service evaluates a rule only where its event type and its subject
-    task's binding match the alert, in the reference's order."""
+    task's binding match the alert, in the reference's order; and each task
+    runs on the component the reference bound it to when it started."""
     pm, reg, rules, components, delays, faults, ops = case
     fast = _alert_service(runtime.DeployedService, pm, reg, rules, delays, faults)
     full = _alert_service(FullScanService, pm, reg, rules, delays, faults)
@@ -500,6 +501,11 @@ def test_alert_path_matches_the_full_scan_reference(case):
             assert got == want, op
             assert _state(fast) == _state(full), op
             assert fast_calls == [c for c in calls if c[3]], op
+    # the service's token path is the reference's too: each task event names
+    # the component that the reference's own copy bound the task to at its start
+    for e in full.merged_log():
+        if e.kind in (EventKind.TASK_STARTED, EventKind.TASK_COMPLETED, EventKind.TASK_FAILED):
+            assert e.detail["component"] == full.eager[e.detail["instance"]][1][e.detail["task"]], e
 
 
 # --- design-time fast paths against the references they replace --------------
@@ -817,7 +823,8 @@ def nested_models(draw, forward_only=False, variables=False):
     boundary events included, or half the time (always if forward_only) a
     node after its task, so that both the handler sets validate refuses and
     those it keeps are common. With variables, each task may set x or y and
-    read those that a task before it sets."""
+    read those that a task before it sets or, one time in four, those that
+    any task sets, itself or a later or sibling task included."""
     nodes, flows, ids = [bpmn.StartEvent(id="start")], [], itertools.count()
 
     def link(a, b):
@@ -862,10 +869,11 @@ def nested_models(draw, forward_only=False, variables=False):
         pm = replace(pm, nodes=tuple(n for n in pm.nodes if n.id != "end-h"))
     if variables:
         outputs = {t: draw(st.sampled_from(["", "x", "y"])) for t in tasks}
-        inputs = {}
+        after, inputs = {u: set(_after(pm, u)) for u in tasks}, {}
         for t in tasks:
-            earlier = sorted({outputs[u] for u in tasks if t in _after(pm, u)} - {""})
-            inputs[t] = tuple(draw(st.lists(st.sampled_from(earlier), unique=True))) if earlier else ()
+            setters = tasks if draw(st.integers(0, 3)) == 0 else [u for u in tasks if t in after[u]]
+            pool = sorted({outputs[u] for u in setters} - {""})
+            inputs[t] = tuple(draw(st.lists(st.sampled_from(pool), unique=True))) if pool else ()
         pm = replace(pm, nodes=tuple(
             replace(n, output_var=outputs[n.id], input_vars=inputs[n.id]) if isinstance(n, bpmn.ServiceTask) else n
             for n in pm.nodes
@@ -933,12 +941,7 @@ def _reference_handlers(pm):
     and that some flow enters lying only in branches its task lies in. The
     handlers that leave a fork for any node but an end event lie in one of
     its branches: a handler leaving it from another branch than the first
-    one does, in model order, is refused. For each handler kept so far, the
-    flow graph of a run where its task faults drops the nodes its task
-    reaches but the target does not, and the flows out of its task, and
-    adds a flow from its task to the target; a task the target reaches must
-    find each input variable that some task sets set by another task than
-    the faulting one on a path of that graph into it."""
+    one does, in model order, is refused."""
     nodes = {n.id: n for n in pm.nodes}
     reach = {nid: {nid} for nid in nodes}
     changed = True
@@ -989,33 +992,62 @@ def _reference_handlers(pm):
             if clash:
                 v.append(f"boundary events {leaving[clash][1]!r} and {b.id!r} carry tokens out of fork "
                          f"{clash!r} from two of its branches")
-            if unset := _reference_unset_input(pm, reach, task, target):
-                v.append(f"boundary event {b.id!r} handler target {target!r} runs task {unset[0]!r} without "
-                         f"its input variable {unset[1]!r}: no task that sets it completes before task "
-                         f"{unset[0]!r} when task {task!r} faults")
     return v
 
 
-def _reference_unset_input(pm, reach, task, target):
-    skipped = reach[task] - reach[target] - {task}
-    edges = [(f.from_node, f.to_node) for f in pm.flows
-             if f.from_node != task and not {f.from_node, f.to_node} & skipped] + [(task, target)]
-    sets = {t.id: t.output_var for t in pm.service_tasks() if t.output_var and t.id != task}
-    produced = {t.output_var for t in pm.service_tasks() if t.output_var}
-    for t in pm.index.service_tasks:
-        if t.id in reach[target]:
-            into, frontier = set(), [t.id]  # the nodes with a path of edges into t
-            while frontier:
-                nid = frontier.pop()
-                for a, b in edges:
-                    if b == nid and a not in into:
-                        into.add(a)
-                        frontier.append(a)
-            done = {sets[n] for n in into if n in sets}
-            for var in t.input_vars:
-                if var in produced and var not in done:
-                    return t.id, var
-    return None
+def _reference_inputs(pm):
+    """The input rule by brute force over runs. Each task that carries
+    boundary events faults with one of them or with none; a run's graph
+    keeps the flows out of the tasks that do not fault and adds one from
+    each faulting task to its handler target. The start fires, then a join
+    once as many edges from fired nodes enter it as flows do, and any other
+    node once one does. Each fired task must find each input variable that
+    some task sets set by a task that does not fault on a path of fired
+    edges into it: a run may reach it before any other task completes. A
+    task is reported with the first input it misses in some run."""
+    nodes = {n.id: n for n in pm.nodes}
+    tasks = [n for n in pm.nodes if isinstance(n, bpmn.ServiceTask)]
+    produced = {t.output_var for t in tasks if t.output_var}
+    indegree = Counter(f.to_node for f in pm.flows)
+    carried = {}
+    for b in pm.boundary_events():
+        carried.setdefault(b.attached_to, [None]).append(b)
+    missed = {t.id: set() for t in tasks}
+    for chosen in itertools.product(*carried.values()):
+        faulting = {b.attached_to: b.handler_target for b in chosen if b}
+        edges = [(f.from_node, f.to_node) for f in pm.flows if f.from_node not in faulting] + list(faulting.items())
+        out, into = {nid: [] for nid in nodes}, {nid: [] for nid in nodes}
+        for a, b in edges:
+            out[a].append(b)
+            into[b].append(a)
+        entered, fired, frontier = Counter(), {"start"}, ["start"]
+        while frontier:
+            for b in out[frontier.pop()]:
+                entered[b] += 1
+                is_join = isinstance(nodes[b], ParallelGateway) and nodes[b].direction is GatewayDirection.JOIN
+                if b not in fired and entered[b] >= (indegree[b] if is_join else 1):
+                    fired.add(b)
+                    frontier.append(b)
+        done = {}  # fired node -> the outputs of the tasks that do not fault on a path of fired edges into it
+
+        def set_before(nid):
+            if nid not in done:
+                done[nid] = set().union(*(
+                    set_before(a) | ({nodes[a].output_var} if isinstance(nodes[a], bpmn.ServiceTask)
+                                     and a not in faulting else set())
+                    for a in into[nid] if a in fired
+                ))
+            return done[nid]
+
+        for t in tasks:
+            if t.id in fired:
+                missed[t.id] |= {var for var in t.input_vars if var in produced and var not in set_before(t.id)}
+    return [
+        f"task {t.id!r} may run without its input variable {var!r}: a run reaches it before any task that "
+        "sets it completes"
+        for t in pm.index.service_tasks
+        if (var := next((var for var in t.input_vars if var in missed[t.id]), None))
+    ]
 
 
 @settings(max_examples=400, deadline=None)
@@ -1027,24 +1059,39 @@ def test_structure_check_matches_the_three_reference_walks(pm):
     structure = bpmn._check_structure(pm)
     reference = _reference_structure(pm)
     # the three walks decide the flow violations; once the flows hold, the
-    # pass reports exactly the handler violations
-    flow_violations = [p for p in structure if not p.startswith("boundary event")]
+    # pass reports exactly the handler violations, and once those hold, the
+    # input violations
+    flow_violations = [p for p in structure if not p.startswith(("boundary event", "task "))]
     assert bool(flow_violations) == bool(reference), (structure, reference)
-    assert structure == (flow_violations or _reference_handlers(pm))
+    assert structure == (flow_violations or _reference_handlers(pm) or _reference_inputs(pm))
     # every earlier check passes
     assert bpmn.validate(pm) == structure
     if not _check_acyclic(pm):
         assert _check_reachability(pm) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(pm=nested_models(forward_only=True, variables=True))
+def test_input_check_matches_the_fault_subset_reference(pm):
+    """Once the flows and handlers hold, validate refuses exactly the tasks
+    that some run, under some subset of faulting tasks, reaches before a
+    task that sets one of their inputs completes."""
+    assume(not _reference_handlers(pm))
+    assert bpmn.validate(pm) == _reference_inputs(pm)
+
+
 @settings(max_examples=300, deadline=None)
-@given(pm=nested_models(forward_only=True), steps=st.lists(st.integers(0, 2), max_size=30))
+@given(
+    pm=nested_models(forward_only=True) | nested_models(forward_only=True, variables=True),
+    steps=st.lists(st.integers(0, 2), max_size=30),
+)
 @example(pm=TWO_BRANCHES_OUT, steps=[])
 def test_a_run_completes_whichever_tasks_fault_once_validate_keeps_the_handlers(pm, steps):
     """The runtime as oracle: in a model that validate accepts, a run ends
-    COMPLETED whichever subset of the tasks that carry a handler faults.
-    Handlers target nodes after their tasks, which validate mostly keeps,
-    and the tasks take extra steps so that branches interleave."""
+    COMPLETED whichever subset of the tasks that carry a handler faults,
+    however the tasks' extra steps interleave the branches. Handlers target
+    nodes after their tasks, which validate mostly keeps, and tasks read
+    variables that tasks set, mostly tasks before them."""
     if bpmn.validate(pm):
         return
     reg = random_registry(random.Random(0), pm, max_candidates=1)
@@ -1052,25 +1099,6 @@ def test_a_run_completes_whichever_tasks_fault_once_validate_keeps_the_handlers(
     tasks = [b.attached_to for b in pm.boundary_events()]
     for faulting in itertools.chain.from_iterable(itertools.combinations(tasks, k) for k in range(len(tasks) + 1)):
         invoker = CaseInvoker(delays, {f"{t}-c1": "T1" for t in faulting})
-        svc = runtime.deploy(pm, reg, [], RankingCriteria(1.0, 0.0, 0.0), Broker(), invoker)
-        inst = svc.instances[svc.start_instance({})]
-        assert (inst.outcome, inst.error) == (Outcome.COMPLETED, None), faulting
-
-
-@settings(max_examples=300, deadline=None)
-@given(pm=nested_models(forward_only=True, variables=True), steps=st.lists(st.integers(0, 2), max_size=30))
-def test_a_run_completes_when_one_task_faults_once_validate_keeps_the_handlers_and_their_inputs(pm, steps):
-    """The runtime as oracle for the input-variable rule: in a model that
-    validate accepts, where a task before each task sets each of its inputs,
-    a run ends COMPLETED with no task faulting and whichever one task that
-    carries a handler faults, however the tasks' extra steps interleave the
-    branches."""
-    if bpmn.validate(pm):
-        return
-    reg = random_registry(random.Random(0), pm, max_candidates=1)
-    delays = {f"{t.id}-c1": d for t, d in zip(pm.service_tasks(), steps)}
-    for faulting in [None, *(b.attached_to for b in pm.boundary_events())]:
-        invoker = CaseInvoker(delays, {f"{faulting}-c1": "T1"} if faulting else {})
         svc = runtime.deploy(pm, reg, [], RankingCriteria(1.0, 0.0, 0.0), Broker(), invoker)
         inst = svc.instances[svc.start_instance({})]
         assert (inst.outcome, inst.error) == (Outcome.COMPLETED, None), faulting
