@@ -1102,3 +1102,21 @@ def test_a_run_completes_whichever_tasks_fault_once_validate_keeps_the_handlers(
         svc = runtime.deploy(pm, reg, [], RankingCriteria(1.0, 0.0, 0.0), Broker(), invoker)
         inst = svc.instances[svc.start_instance({})]
         assert (inst.outcome, inst.error) == (Outcome.COMPLETED, None), faulting
+
+
+@settings(max_examples=300, deadline=None)
+@given(pm=nested_models(forward_only=True, variables=True), steps=st.lists(st.integers(0, 2), max_size=30))
+def test_a_run_completes_when_one_task_faults_once_validate_keeps_the_handlers_and_their_inputs(pm, steps):
+    """The runtime as oracle for the input-variable rule, one fault at a
+    time: in a model that validate accepts, a run ends COMPLETED with no
+    task faulting and whichever one task that carries a handler faults,
+    however the tasks' extra steps interleave the branches."""
+    if bpmn.validate(pm):
+        return
+    reg = random_registry(random.Random(0), pm, max_candidates=1)
+    delays = {f"{t.id}-c1": d for t, d in zip(pm.service_tasks(), steps)}
+    for faulting in [None, *(b.attached_to for b in pm.boundary_events())]:
+        invoker = CaseInvoker(delays, {f"{faulting}-c1": "T1"} if faulting else {})
+        svc = runtime.deploy(pm, reg, [], RankingCriteria(1.0, 0.0, 0.0), Broker(), invoker)
+        inst = svc.instances[svc.start_instance({})]
+        assert (inst.outcome, inst.error) == (Outcome.COMPLETED, None), faulting
