@@ -14,9 +14,10 @@ The same broker core runs in-process or behind a TCP server speaking
 newline-delimited UTF-8 JSON records with op in {SUB, UNSUB, PUB, MSG,
 ACKCOUNT}. A connection costs one reader thread and, once it SUBs, one
 writer, however many ids it holds; the newest SUB of an id takes it over.
-A malformed record gets an error ACKCOUNT and leaves the connection up;
-so does a record longer than MAX_RECORD_BYTES, which is read in bounded
-pieces and dropped, never buffered whole.
+A Notification checks itself when built, so neither the broker nor a client
+checks it again. A malformed record gets an error ACKCOUNT and leaves the
+connection up; so does a record longer than MAX_RECORD_BYTES, which is read
+in bounded pieces and dropped, never buffered whole.
 
 A queue's offer, and a poll that finds an item or does not wait, take no
 lock; a poll takes one only to wait. Offers to one queue are serialized by
@@ -106,6 +107,9 @@ class Notification:
     publisher_id: str
     threat_id: str | None = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         for name, value in (
             ("topic", self.topic),
@@ -185,7 +189,6 @@ class Notification:
                 publisher_id=rec["publisherId"],
                 threat_id=rec.get("threatId"),
             )
-            n.validate()
         return n
 
 
@@ -373,7 +376,6 @@ class Broker:
 
     def publish(self, n: Notification) -> int:
         """Deliveries made: 0 for a seq at or below its publisher's last one."""
-        n.validate()
         with self._lock:
             if n.seq <= self._last_seq.get(n.publisher_id, -1):
                 return 0
@@ -677,7 +679,6 @@ class BusClient:
         self._send({"op": "UNSUB", "subscriberId": subscriber_id, "topicPattern": topic_pattern})
 
     def publish(self, n: Notification) -> int:
-        n.validate()
         rec = n.to_record()
         rec["op"] = "PUB"
         with self._publish_lock:

@@ -8,6 +8,8 @@ against adaptation rules plus the latest threat state. Both split per
 recomposition; generate_plans enumerates the Cartesian product of candidate
 lists (up to PLAN_CEILING) only to list and rank every plan. All functions
 here are pure; ThreatState is the one mutable type and hands out snapshots.
+Descriptors, registries and ranking criteria check themselves when built;
+validate_against adds only what a given process model requires.
 
 Per binding, select_plan checks a candidate against the (threat id,
 predicate) pairs that candidate_table precomputes for its task, a few dict
@@ -52,6 +54,9 @@ class ComponentDescriptor:
     latency_score: float
     cost: float = 0.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not self.id:
             raise ValidationError("component id is empty")
@@ -71,6 +76,9 @@ class CandidateRegistry:
 
     entries: tuple[tuple[str, tuple[ComponentDescriptor, ...]], ...] = ()
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def candidates(self, task_id: str) -> tuple[ComponentDescriptor, ...]:
         for tid, comps in self.entries:
             if tid == task_id:
@@ -85,9 +93,9 @@ class CandidateRegistry:
         return list(out.values())
 
     def validate(self) -> None:
-        """Besides per-entry checks, a component id listed under several
-        tasks must carry the same descriptor everywhere: plans resolve
-        components by id alone."""
+        """Each descriptor checked itself when built. A component id listed
+        under several tasks must carry the same descriptor everywhere: plans
+        resolve components by id alone."""
         seen_tasks: set[str] = set()
         known: dict[str, ComponentDescriptor] = {}
         for task_id, comps in self.entries:
@@ -98,7 +106,6 @@ class CandidateRegistry:
                 raise ValidationError(f"registry entry for task {task_id!r} is empty")
             seen_ids: set[str] = set()
             for c in comps:
-                c.validate()
                 if c.id in seen_ids:
                     raise ValidationError(f"task {task_id!r} lists component {c.id!r} twice")
                 seen_ids.add(c.id)
@@ -106,7 +113,6 @@ class CandidateRegistry:
                     raise ValidationError(f"component {c.id!r} has different descriptors under two tasks")
 
     def validate_against(self, pm: bpmn.ProcessModel) -> None:
-        self.validate()
         for task in pm.service_tasks():
             comps = self.candidates(task.id)
             if not comps:
@@ -140,6 +146,9 @@ class RankingCriteria:
     w_trust: float
     w_qos: float
     w_cost: float
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not all(map(math.isfinite, (self.w_trust, self.w_qos, self.w_cost))):
@@ -239,7 +248,6 @@ def rank_plans(
     ties broken by planId ascending."""
     if not plans:
         raise EmptyInputError("no plans to rank")
-    criteria.validate()
 
     known = {c.id: c for c in reg.all_components()}
     for p in plans:
@@ -395,9 +403,7 @@ def registry_from_record(raw: dict) -> CandidateRegistry:
                 for c in comps
             )
             entries.append((task_id, descriptors))
-        reg = CandidateRegistry(entries=tuple(entries))
-        reg.validate()
-    return reg
+        return CandidateRegistry(entries=tuple(entries))
 
 
 def load_registry(text: str) -> CandidateRegistry:
@@ -427,13 +433,11 @@ def dump_registry(reg: CandidateRegistry) -> str:
 def load_criteria(text: str) -> RankingCriteria:
     raw = parse_json(text, "criteria file")
     with reading("criteria"):
-        criteria = RankingCriteria(
+        return RankingCriteria(
             w_trust=float(raw["wTrust"]),
             w_qos=float(raw["wQos"]),
             w_cost=float(raw["wCost"]),
         )
-        criteria.validate()
-    return criteria
 
 
 def dump_criteria(criteria: RankingCriteria) -> str:

@@ -82,7 +82,7 @@ class DerivationError(ThreatflowError):
 
 
 class EvaluationError(ThreatflowError):
-    """A rule could not be evaluated against a malformed notification."""
+    """A rule could not be evaluated: the position lacks its scope task."""
     exit_code = 12
 
 

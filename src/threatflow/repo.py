@@ -53,6 +53,9 @@ class Threat:
     links: tuple[str, ...] = ()
     related: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not self.id or self.id.isspace():
             raise ValidationError("threat id is empty")
@@ -73,7 +76,7 @@ class Threat:
     @classmethod
     def from_record(cls, rec: dict) -> "Threat":
         with reading("threat"):
-            t = cls(
+            return cls(
                 id=rec["id"],
                 name=rec.get("name", ""),
                 threat_class=ThreatClass(rec["class"]),
@@ -82,8 +85,6 @@ class Threat:
                 links=tuple(_strings(rec, "links")),
                 related=tuple(_strings(rec, "related")),
             )
-            t.validate()
-        return t
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,9 @@ class Countermeasure:
     description: str = ""
     format: CountermeasureFormat = CountermeasureFormat.TEXT
     rank_score: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not self.id:
@@ -114,7 +118,7 @@ class Countermeasure:
     @classmethod
     def from_record(cls, rec: dict) -> "Countermeasure":
         with reading("countermeasure"):
-            cm = cls(
+            return cls(
                 id=rec["id"],
                 threat_id=rec["threatId"],
                 title=rec.get("title", ""),
@@ -122,8 +126,6 @@ class Countermeasure:
                 format=CountermeasureFormat(rec.get("format", "text")),
                 rank_score=float(rec.get("rankScore", 0.0)),
             )
-            cm.validate()
-        return cm
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,6 @@ class Repository:
     # -- operations
 
     def put_threat(self, t: Threat, replace: bool = False) -> str:
-        t.validate()
         with self._lock:
             existing = self._threats.get(t.id)
             if existing is not None and not replace and existing != t:
@@ -219,7 +220,6 @@ class Repository:
         return sorted(hits, key=lambda t: (t.name, t.id))
 
     def put_countermeasure(self, cm: Countermeasure) -> str:
-        cm.validate()
         with self._lock:
             if cm.threat_id not in self._threats:
                 raise NotFoundError(f"countermeasure {cm.id!r} mitigates unknown threat {cm.threat_id!r}")
@@ -237,18 +237,17 @@ class Repository:
     def import_from_model(self, pm: bpmn.ProcessModel) -> list[str]:
         """Create stub threats for unknown errorRef values; returns new IDs."""
         refs = sorted({threat_id for _, threat_id in bpmn.list_threat_refs(pm)})
-        added = []
         with self._lock:
-            for threat_id in refs:
-                if threat_id in self._threats:
-                    continue
-                self._threats[threat_id] = Threat(
-                    id=threat_id, name=threat_id, threat_class=ThreatClass.OPERATIONAL
-                )
-                added.append(threat_id)
+            # all built before any is stored: a blank id refuses the whole import
+            added = [
+                Threat(id=ref, name=ref, threat_class=ThreatClass.OPERATIONAL)
+                for ref in refs if ref not in self._threats
+            ]
+            for t in added:
+                self._threats[t.id] = t
             if added:
                 self._save()
-        return added
+        return [t.id for t in added]
 
     def audit(self) -> list[str]:
         """Report dangling related links without touching the store."""

@@ -2,9 +2,11 @@
 
 A rule names the event type it reacts to, the service task it governs, an
 optional probability predicate, an execution-window scope and the action to
-take. Evaluation is a pure function; the runtime serializes calls. This
-module also derives the bus subscriptions a deployment needs from its rules
-and the per-task candidates of its registry.
+take. Predicates, scopes and rules check themselves when built, as
+notifications do, so evaluation takes both as valid. Evaluation is a pure
+function; the runtime serializes calls. This module also derives the bus
+subscriptions a deployment needs from its rules and the per-task candidates
+of its registry.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class Predicate:
     comparator: Comparator
     threshold: float
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValidationError(f"threshold {self.threshold} outside [0,1] inclusive")
@@ -62,6 +67,9 @@ class ScopeKind(Enum):
 class Scope:
     kind: ScopeKind
     ref_task_id: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.kind is ScopeKind.WHOLE_PROCESS:
@@ -124,7 +132,11 @@ class AdaptationRule:
     threat_id: str | None = None
     predicate: Predicate | None = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        """Its predicate and scope checked themselves when built."""
         if not all(isinstance(v, str) for v in (self.rule_id, self.subject_task_id, self.threat_id or "")):
             raise ValidationError(f"rule {self.rule_id!r} has a non-string ruleId, subjectTaskId or threatId")
         if not self.rule_id:
@@ -141,12 +153,8 @@ class AdaptationRule:
                 f"rule {self.rule_id!r} carries a threat id but its event type "
                 f"{self.event_type.value} is not ThreatLevelChange"
             )
-        if self.predicate is not None:
-            self.predicate.validate()
-        self.scope.validate()
 
     def validate_against(self, pm: bpmn.ProcessModel) -> None:
-        self.validate()
         task_ids = pm.index.task_ids
         if self.subject_task_id not in task_ids:
             raise ValidationError(
@@ -168,13 +176,9 @@ def evaluate(
 ) -> bool:
     """True iff the notification matches the rule's event type and subject,
     its probability (when present) satisfies the predicate, and the instance
-    position lies in the rule's scope window. Malformed notifications raise,
-    they never evaluate to a silent False."""
-    try:
-        n.validate()
-    except ValidationError as exc:
-        raise EvaluationError(f"malformed notification: {exc}")
-
+    position lies in the rule's scope window. The rule and the notification
+    checked themselves when built; a position with no status for the rule's
+    scope task raises EvaluationError rather than evaluate to a silent False."""
     if n.type is not rule.event_type:
         return False
     if n.subject_component_id != binding:
@@ -245,7 +249,7 @@ def rule_from_record(rec: dict) -> AdaptationRule:
                 threshold=float(rec["predicate"]["threshold"]),
             )
         scope_rec = rec.get("scope", {"kind": "wholeProcess"})
-        rule = AdaptationRule(
+        return AdaptationRule(
             rule_id=rec["ruleId"],
             event_type=EventType(rec["eventType"]),
             subject_task_id=rec["subjectTaskId"],
@@ -257,8 +261,6 @@ def rule_from_record(rec: dict) -> AdaptationRule:
                 params=tuple(sorted(rec["action"].get("params", {}).items())),
             ),
         )
-        rule.validate()
-    return rule
 
 
 def load_rules(text: str) -> list[AdaptationRule]:

@@ -522,14 +522,6 @@ class DeployedService:
         with self._lock:
             if self.status is not ServiceStatus.RUNNING:
                 return []
-            try:
-                n.validate()
-            except ValidationError as exc:
-                self._log(
-                    EventKind.NOTIFICATION_RECEIVED,
-                    {"topic": getattr(n, "topic", ""), "error": str(exc)},
-                )
-                return []
             self._log(
                 EventKind.NOTIFICATION_RECEIVED,
                 {
@@ -768,7 +760,6 @@ def deploy(
     violations = bpmn.validate(pm)
     if violations:
         raise ValidationError("process model invalid: " + "; ".join(violations))
-    criteria.validate()
     if "." in service_id or "*" in service_id or not service_id:
         raise ValidationError(f"service id {service_id!r} contains reserved characters")
     for rule in rules:

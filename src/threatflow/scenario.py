@@ -142,6 +142,9 @@ class MockComponentConfig:
     error_id: str | None = None
     steps: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.kind not in ("healthy", "failWithError", "delaySteps"):
             raise ValidationError(f"unknown mock behavior {self.kind!r}")
@@ -157,14 +160,12 @@ def load_mocks(text: str) -> dict[str, MockComponentConfig]:
     with reading("mocks"):
         for comp_id, rec in raw.get("components", {}).items():
             behavior = rec.get("behavior", {"kind": "healthy"})
-            cfg = MockComponentConfig(
+            configs[comp_id] = MockComponentConfig(
                 component_id=comp_id,
                 kind=behavior.get("kind", "healthy"),
                 error_id=behavior.get("errorId"),
                 steps=int(behavior.get("n", 0)),
             )
-            cfg.validate()
-            configs[comp_id] = cfg
     return configs
 
 
@@ -184,7 +185,6 @@ class MockInvoker(ComponentInvoker):
         self._clock = clock or time.time
 
     def set_behavior(self, config: MockComponentConfig) -> None:
-        config.validate()
         self.configs[config.component_id] = config
 
     def delay_steps(self, component_id: str, operation_ref: str) -> int:
@@ -224,8 +224,6 @@ def inject_threat(
 ) -> int:
     """Publish a ThreatLevelChange alert as a monitor would; returns the
     delivery count (0 with no subscribers is fine, best-effort)."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValidationError(f"probability {probability} outside [0,1]")
     return publisher.publish(
         EventType.THREAT_LEVEL_CHANGE,
         component_id,

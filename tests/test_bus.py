@@ -156,10 +156,10 @@ def test_record_roundtrip_drops_null_payload_fields():
 def test_publish_refuses_a_numeric_field_of_another_type():
     broker = Broker()
     broker.subscribe(Subscription("s1", "threat-level-change.*"))
-    for bad in (notification(seq=5.7), notification(seq="7"), notification(seq=True),
-                notification(ts="2.5"), notification(ts=None), notification(probability=True)):
+    for bad in (dict(seq=5.7), dict(seq="7"), dict(seq=True),
+                dict(ts="2.5"), dict(ts=None), dict(probability=True)):
         with pytest.raises(ValidationError, match="is not an integer|is not a number"):
-            broker.publish(bad)
+            broker.publish(notification(**bad))
     assert broker.publish(notification(seq=1, ts=1000)) == 1
     rec = notification(seq=2).to_record()
     rec["timestamp"] = 1000

@@ -166,6 +166,17 @@ def test_run_demo_text_and_json(capsys):
     assert sum(1 for r in records if r["record"] == "report") == 2
 
 
+@pytest.mark.parametrize("flags, golden", [([], "demo_transcript.txt"), (["--json"], "demo_transcript.jsonl")],
+                         ids=["text", "json"])
+def test_demo_transcript_matches_the_golden_file(flags, golden):
+    proc = subprocess.run(
+        [sys.executable, "-m", "threatflow", *flags, "run", "demo"],
+        capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (Path(__file__).parent / "fixtures" / golden).read_bytes()
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "threatflow", "plan", "list", "--bundle", BUNDLE],
@@ -374,6 +385,11 @@ PINS = {
     "publish-three-segments": (
         lambda tmp: ["bus", "publish", "--topic", "a.b.c"],
         None, 2, "", "", "ValidationError: topic 'a.b.c' must be '<event-type>.<subject>'\n",
+    ),
+    "publish-malformed-before-connecting": (
+        lambda tmp: ["bus", "publish", "--topic", "threat-level-change.mapA", "--probability", "1.5",
+                     "--threat-id", "T-X"],
+        None, 2, "", "", "ValidationError: probability 1.5 outside [0,1]\n",
     ),
     "run-start-failing-instance": (
         lambda tmp: ["run", "start", "--bundle", _failing_bundle(tmp), "--var", "iata=OSL"],

@@ -819,33 +819,48 @@ def _after(pm, node_id):
 def nested_models(draw, forward_only=False, variables=False):
     """Valid structured models: sequences of tasks and forks whose branches
     are sequences again, nested up to three deep, with 2-4 branches, some
-    branches empty, and 1-4 boundary handlers. A handler targets any node,
+    branches empty, and 1-4 boundary handlers. Half the time, where a task
+    inside a fork has an earlier task in its sequence, both also carry one:
+    the earlier task's handler skips past the task, and the task's handler
+    targets a join around it, an outer one when the first handler lands on
+    the inner one. So the join meets of the input pass often see a handler
+    onto an outer join from inside an inner fork beside a handler that
+    skips a setter in the same branch. Any other handler targets any node,
     boundary events included, or half the time (always if forward_only) a
     node after its task, so that both the handler sets validate refuses and
-    those it keeps are common. With variables, each task may set x or y and
-    read those that a task before it sets or, one time in four, those that
+    those it keeps are common. With variables, the skipping task sets z,
+    which no other task sets, each other task may set x or y, and each task
+    reads those that a task before it sets or, one time in four, those that
     any task sets, itself or a later or sibling task included."""
     nodes, flows, ids = [bpmn.StartEvent(id="start")], [], itertools.count()
+    where = {}  # task -> the nodes of its sequence then the node after it, the task's place there, the joins around it
 
     def link(a, b):
         flows.append(bpmn.SequenceFlow(f"f{next(ids):03d}", a, b))
 
-    def sequence(prev, depth, least):
+    def sequence(prev, depth, least, joins=()):
+        items = []
         for _ in range(draw(st.integers(least, 3))):
             k = next(ids)
             if depth < 3 and draw(st.booleans()):
                 fork, join = f"g{k}f", f"g{k}j"
                 nodes.append(bpmn.ParallelGateway(id=fork, direction=GatewayDirection.FORK))
                 link(prev, fork)
-                branch_ends = [sequence(fork, depth + 1, 0) for _ in range(draw(st.integers(2, 4)))]
+                branch_ends = [sequence(fork, depth + 1, 0, joins + (join,)) for _ in range(draw(st.integers(2, 4)))]
                 nodes.append(bpmn.ParallelGateway(id=join, direction=GatewayDirection.JOIN))
                 for end in branch_ends:
                     link(end, join)
+                items.append(fork)
                 prev = join
             else:
                 nodes.append(bpmn.ServiceTask(id=f"t{k}"))
                 link(prev, f"t{k}")
+                items.append(f"t{k}")
                 prev = f"t{k}"
+        ahead = items + [joins[-1] if joins else "end"]
+        for i, nid in enumerate(items):
+            if nid.startswith("t"):
+                where[nid] = (ahead, i, joins)
         return prev
 
     link(sequence("start", 0, 1), "end")
@@ -855,12 +870,23 @@ def nested_models(draw, forward_only=False, variables=False):
         nodes.append(bpmn.EndEvent(id="end-h"))
     pm = bpmn.ProcessModel(id="p", nodes=tuple(nodes), flows=tuple(flows))
     tasks = [n.id for n in pm.service_tasks()]
-    for task in draw(st.lists(st.sampled_from(tasks), unique=True, min_size=1, max_size=4)) if tasks else ():
+    chosen = draw(st.lists(st.sampled_from(tasks), unique=True, min_size=1, max_size=4)) if tasks else []
+    forced, skipping = {}, None  # task -> handler target; the task whose handler skips a later one
+    pairs = []  # (earlier task, task, the nodes past the task that leave a join around it free)
+    for t in tasks:
+        ahead, i, joins = where[t]
+        past = ahead[i + 1:] if len(joins) > 1 else ahead[i + 1:-1] if joins else []
+        pairs += [(u, t, past) for u in tasks if past and where[u][0] is ahead and where[u][1] < i]
+    if pairs and draw(st.booleans()):
+        skipping, t, past = draw(st.sampled_from(pairs))
+        forced[skipping] = draw(st.sampled_from(past))
+        forced[t] = draw(st.sampled_from([j for j in where[t][2] if j != forced[skipping]]))
+    for task in dict.fromkeys(chosen + list(forced)):
         pm = bpmn.attach_threat(pm, task, "T1", handler_target="end")
     anywhere = [n.id for n in pm.nodes]
     extra = ["end-h"] if handler_end else []
     pm = replace(pm, nodes=tuple(
-        replace(n, handler_target=draw(st.sampled_from(
+        replace(n, handler_target=forced.get(n.attached_to) or draw(st.sampled_from(
             _after(pm, n.attached_to) + extra if forward_only or draw(st.booleans()) else anywhere
         ))) if isinstance(n, bpmn.ErrorBoundaryEvent) else n
         for n in pm.nodes
@@ -868,7 +894,7 @@ def nested_models(draw, forward_only=False, variables=False):
     if handler_end and all(b.handler_target != "end-h" for b in pm.boundary_events()):
         pm = replace(pm, nodes=tuple(n for n in pm.nodes if n.id != "end-h"))
     if variables:
-        outputs = {t: draw(st.sampled_from(["", "x", "y"])) for t in tasks}
+        outputs = {t: "z" if t == skipping else draw(st.sampled_from(["", "x", "y"])) for t in tasks}
         after, inputs = {u: set(_after(pm, u)) for u in tasks}, {}
         for t in tasks:
             setters = tasks if draw(st.integers(0, 3)) == 0 else [u for u in tasks if t in after[u]]

@@ -350,3 +350,24 @@ def test_import_adds_exactly_the_unknown_refs(tmp_path):
     added = store.import_from_model(pm)
     assert set(added) == model_refs - known_before == {"T-NEW-1", "T-NEW-2"}
     assert store.get_threat("T-NEW-1").name == "T-NEW-1"  # stub carries id as name
+
+
+def test_import_of_a_blank_ref_stores_nothing_and_keeps_the_file_loadable(tmp_path):
+    path = tmp_path / "repo.json"
+    store = repo.Repository(path)
+    store.put_threat(sample_threat("T-KNOWN", "Already catalogued"))
+    pm = bpmn.ProcessModel(
+        id="p",
+        nodes=(bpmn.StartEvent(id="s"), bpmn.ServiceTask(id="t1"), bpmn.EndEvent(id="e")),
+        flows=(
+            bpmn.SequenceFlow(id="f1", from_node="s", to_node="t1"),
+            bpmn.SequenceFlow(id="f2", from_node="t1", to_node="e"),
+        ),
+    )
+    for ref in ("T-NEW", "\u3000"):  # a blank id, sorted after the other
+        pm = bpmn.attach_threat(pm, "t1", ref)
+    assert bpmn.validate(pm) == []
+    with pytest.raises(ValidationError, match="threat id is empty"):
+        store.import_from_model(pm)
+    assert [t.id for t in store.all_threats()] == ["T-KNOWN"]
+    assert [t.id for t in repo.Repository(path).all_threats()] == ["T-KNOWN"]

@@ -116,17 +116,17 @@ def test_evaluate_missing_scope_status_raises():
 
 
 def test_evaluate_rejects_malformed_notification():
-    bad = Notification(
-        type=EventType.THREAT_LEVEL_CHANGE,
-        topic="threat-level-change.comp-1",
-        subject_component_id="comp-1",
-        payload=Payload(probability=7.0),  # outside [0,1]
-        timestamp=1.0,
-        seq=1,
-        publisher_id="m",
-        threat_id="T-DOS",
-    )
-    with pytest.raises(EvaluationError):
+    with pytest.raises(ValidationError, match=r"probability 7.0 outside \[0,1\]"):
+        bad = Notification(
+            type=EventType.THREAT_LEVEL_CHANGE,
+            topic="threat-level-change.comp-1",
+            subject_component_id="comp-1",
+            payload=Payload(probability=7.0),  # outside [0,1]
+            timestamp=1.0,
+            seq=1,
+            publisher_id="m",
+            threat_id="T-DOS",
+        )
         r.evaluate(rule(), bad, r.InstancePosition(), "comp-1")
 
 
