@@ -210,6 +210,11 @@ def validate(pm: ProcessModel) -> list[str]:
     return list(pm.violations)
 
 
+def _blank(threat_id: str) -> bool:
+    """Empty or whitespace only: no threat id, as repo.Threat rules too."""
+    return not threat_id or threat_id.isspace()
+
+
 def _check(pm: ProcessModel) -> list[str]:
     v: list[str] = []
     ids: dict[str, Node] = {}
@@ -248,7 +253,7 @@ def _check(pm: ProcessModel) -> list[str]:
     for b in boundaries:
         if not isinstance(ids.get(b.attached_to), ServiceTask):
             v.append(f"boundary event {b.id!r} attachedTo {b.attached_to!r} is not a service task")
-        if not b.error_ref:
+        if _blank(b.error_ref):
             v.append(f"boundary event {b.id!r} has empty errorRef")
         if b.handler_target not in ids:
             v.append(f"boundary event {b.id!r} handler target {b.handler_target!r} names no node")
@@ -263,7 +268,7 @@ def _check(pm: ProcessModel) -> list[str]:
             v.append(f"duplicate error declaration {e.id!r}")
         decl_ids.add(e.id)
     for b in boundaries:
-        if b.error_ref and b.error_ref not in decl_ids:
+        if not _blank(b.error_ref) and b.error_ref not in decl_ids:
             v.append(f"errorRef {b.error_ref!r} on {b.id!r} has no error declaration")
 
     # degree rules for the structured subset (flows only; boundary events
@@ -425,7 +430,7 @@ def attach_threat(
     task = next((n for n in pm.nodes if n.id == task_id), None)
     if not isinstance(task, ServiceTask):
         raise NotFoundError(f"no service task {task_id!r} in process {pm.id!r}")
-    if not threat_id:
+    if _blank(threat_id):
         raise ValidationError("threat id is empty")
     if (task_id, threat_id) in list_threat_refs(pm):
         raise ConflictError(f"task {task_id!r} already carries threat {threat_id!r}")

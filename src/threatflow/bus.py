@@ -50,6 +50,7 @@ log = logging.getLogger(__name__)
 DEFAULT_QUEUE_CAPACITY = 4096
 MAX_RECORD_BYTES = 1 << 20  # of one wire record, before its newline
 _NOTIFICATION_RECORD = reading("notification")  # built once: from_record runs per PUB and per MSG
+_BUILD_LOCK = threading.Lock()  # guards the first build of a queue's condition
 
 
 class EventType(Enum):
@@ -244,19 +245,22 @@ class _SubscriberQueue:
     of a full queue during an offer may add that delivered item to it, so it
     never under-counts.
 
-    No wake-up is lost: a poller that must wait raises `_waiting` under the
-    lock before its last look for an item, and holds the lock until `wait`
-    releases it. An offer appends before it reads `_waiting`. So either that
-    look finds the item, or the offer sees `_waiting` raised and notifies
-    under the lock, which it gets only once the poller waits."""
+    The lock and condition are built on the first poll that must wait, or
+    on close(), so an id that is never waited on holds neither.
+
+    No wake-up is lost: a poller that must wait builds the condition, then
+    raises `_waiting` under its lock before its last look for an item, and
+    holds the lock until `wait` releases it. An offer appends before it
+    reads `_waiting`, so an offer that reads it non-zero finds the condition
+    built. Either that last look finds the item, or the offer sees `_waiting`
+    raised and notifies under the lock, which it gets only once the poller
+    waits. close() builds the condition too, so a first wait and a close
+    share one condition and the wait cannot miss its notify_all."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._items: deque = deque(maxlen=capacity)  # notifications, or a client's ACKCOUNT records
-        # an RLock: a Condition over a plain Lock costs several times as much
-        # to build, and a broker builds one queue per subscriber id
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
+        self._lock = self._cond = None  # built together by _condition, on the first wait or close()
         self._waiting = 0  # pollers inside the waiting loop of poll
         self._closed = False
         self.drops = 0
@@ -268,6 +272,17 @@ class _SubscriberQueue:
         if self._waiting:
             with self._lock:
                 self._cond.notify()
+
+    def _condition(self) -> threading.Condition:
+        """The queue's condition, built once; first waiters racing each other
+        or close() build it under one module lock, so they share it."""
+        if (cond := self._cond) is None:
+            with _BUILD_LOCK:
+                if (cond := self._cond) is None:
+                    # an RLock: a Condition over a plain Lock costs several times as much to build
+                    self._lock = threading.RLock()
+                    self._cond = cond = threading.Condition(self._lock)
+        return cond
 
     def _take(self):
         """Oldest item, or None; another poller may take the last one first."""
@@ -286,23 +301,25 @@ class _SubscriberQueue:
         if item is not None or timeout == 0:
             return item
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
+        cond = self._condition()
+        with cond:
             self._waiting += 1
             try:
                 while (item := self._take()) is None and not self._closed:
                     remaining = None if deadline is None else deadline - time.monotonic()
                     if remaining is not None and remaining <= 0:
                         break
-                    self._cond.wait(remaining)
+                    cond.wait(remaining)
             finally:
                 self._waiting -= 1
         return item
 
     def close(self) -> None:
         """Wake every poll(None); what is queued stays drainable."""
-        with self._lock:
+        cond = self._condition()
+        with cond:
             self._closed = True
-            self._cond.notify_all()
+            cond.notify_all()
 
     def __len__(self) -> int:
         return len(self._items)

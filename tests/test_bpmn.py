@@ -17,6 +17,7 @@ from threatflow.errors import (
     UnsupportedConstructError,
     ValidationError,
 )
+from threatflow.scenario import DEMO_BUNDLE_DIR
 
 from _generators import random_process, random_registry
 
@@ -738,3 +739,19 @@ def test_a_task_that_a_run_reaches_before_its_input_is_set_is_refused(case):
         _run_faulting(pm, [])
     inst = _run_faulting(pm, [], validated=False, delays=delays)
     assert (inst.outcome, inst.error) == (runtime.Outcome.FAILED, f"task {reader!r} lacks input variables ['x']")
+
+
+@pytest.mark.parametrize("blank", [" ", "　"])
+def test_a_blank_error_ref_is_refused_as_an_empty_one(blank):
+    pm = bpmn.parse_bpmn((DEMO_BUNDLE_DIR / "process.bpmn").read_text(encoding="utf-8"))
+    task = next(n.id for n in pm.nodes if isinstance(n, bpmn.ServiceTask))
+    with pytest.raises(ValidationError, match="threat id is empty"):
+        bpmn.attach_threat(pm, task, blank)
+    boundary = bpmn.ErrorBoundaryEvent(
+        id="boundary-blank", attached_to=task, error_ref=blank, handler_target=pm.end_events()[0].id
+    )
+    blanked = replace(pm, nodes=pm.nodes + (boundary,))
+    assert bpmn.validate(blanked) == ["boundary event 'boundary-blank' has empty errorRef"]
+    doc = bpmn.serialize(bpmn.attach_threat(pm, task, "T-SOON-BLANK"))
+    with pytest.raises(ValidationError, match="has empty errorRef"):
+        bpmn.parse_bpmn(doc.replace('errorRef="T-SOON-BLANK"', f'errorRef="{blank}"'))

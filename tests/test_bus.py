@@ -897,6 +897,71 @@ def test_offer_and_poll_that_need_not_wait_take_no_lock():
     assert queue._lock.acquires > 0
 
 
+def test_a_queue_that_is_never_waited_on_builds_no_lock():
+    broker = Broker()
+    exact = broker.subscribe(Subscription("sre", "threat-level-change.mapA"))
+    broker.subscribe(Subscription("sre", "threat-level-change.*"))
+    queue = broker._queues["sre"]
+    assert broker.publish(notification(seq=1)) == 1
+    assert broker.pending("sre") == 1 and broker.drops("sre") == 0
+    assert broker.poll("sre").seq == 1 and broker.poll("sre") is None
+    broker.unsubscribe(exact)  # the id still holds the wildcard
+    assert broker._queues["sre"] is queue
+    assert (queue._lock, queue._cond) == (None, None)
+    assert queue.poll(0.01) is None  # the first poll that waits builds both
+    cond = queue._cond
+    assert cond is not None and queue._lock is not None
+    assert queue.poll(0.01) is None and queue._cond is cond
+    fresh = bus._SubscriberQueue(4)
+    fresh.close()
+    assert fresh._cond is not None and fresh._lock is not None
+    assert fresh.poll(None) is None
+
+
+def test_first_waits_that_race_build_one_condition_and_miss_no_close():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(400):
+            queue = bus._SubscriberQueue(4)
+            got = []
+            start = threading.Barrier(2)
+
+            def wait_first(spin):
+                start.wait()
+                for _ in range(spin):  # a spin that varies over k sweeps the race window
+                    pass
+                got.append(queue.poll(timeout=5))
+
+            pollers = [threading.Thread(target=wait_first, args=(spin,), daemon=True) for spin in (0, k % 40)]
+            for t in pollers:
+                t.start()
+            wait_until(lambda: queue._waiting == 2, "the pollers never both began waiting")
+            queue.offer(1)
+            queue.offer(2)
+            join_all(pollers)  # a poller left on a second condition would sleep out its 5 s
+            assert sorted(got) == [1, 2] and queue._waiting == 0
+
+            queue = bus._SubscriberQueue(4)
+            got = []
+            start = threading.Barrier(2)
+
+            def wait_forever():
+                start.wait()
+                got.append(queue.poll(None))
+
+            poller = threading.Thread(target=wait_forever, daemon=True)
+            poller.start()
+            start.wait()
+            for _ in range(k % 40):
+                pass
+            queue.close()
+            join_all([poller])
+            assert got == [None] and queue._waiting == 0
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_a_publish_after_a_timeout_takes_its_own_reply():
     counts = iter(range(10, 20))
 
