@@ -6,7 +6,9 @@ ranked by a weighted mean of trustworthiness, QoS and cost, and verified
 against adaptation rules plus the latest threat state. Both split per
 (task, component) pair, so select_plan chooses task by task for deploy and
 recomposition; generate_plans enumerates the Cartesian product of candidate
-lists (up to PLAN_CEILING) only to list and rank every plan. All functions
+lists (up to PLAN_CEILING) only to list and rank every plan. That listing
+shares one (task id, component id) pair per candidate among the plans that
+bind it, and rank_plans holds one scored list, sorted in place. All functions
 here are pure; ThreatState is the one mutable type and hands out snapshots.
 Descriptors, registries and ranking criteria check themselves when built;
 validate_against adds only what a given process model requires.
@@ -27,7 +29,7 @@ import operator
 import re
 import threading
 from collections.abc import Container, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import bpmn
 from .bus import EventType
@@ -113,6 +115,10 @@ class CandidateRegistry:
                     raise ValidationError(f"component {c.id!r} has different descriptors under two tasks")
 
     def validate_against(self, pm: bpmn.ProcessModel) -> None:
+        """Besides coverage and operationRefs, the mean of the per-task
+        maximum costs must be finite: it bounds every plan's mean cost (float
+        addition is monotone), and a mean that overflows scores `nan`."""
+        max_costs = []
         for task in pm.service_tasks():
             comps = self.candidates(task.id)
             if not comps:
@@ -123,9 +129,12 @@ class CandidateRegistry:
                         f"component {c.id!r} implements {c.operation_ref!r} but task "
                         f"{task.id!r} requires {task.operation_ref!r}"
                     )
+            max_costs.append(max(c.cost for c in comps))
+        if not math.isfinite(_mean(max_costs)):
+            raise ValidationError("the mean of the per-task maximum costs overflows")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositionPlan:
     plan_id: str
     bindings: tuple[tuple[str, str], ...]  # (task id, component id) in document order
@@ -157,6 +166,8 @@ class RankingCriteria:
             raise ValidationError("ranking weights must be non-negative")
         if self.w_trust + self.w_qos + self.w_cost <= 0:
             raise ValidationError("ranking weights must not all be zero")
+        if not math.isfinite(self.w_trust + self.w_qos + self.w_cost):
+            raise ValidationError("ranking weights must have a finite sum")
 
 
 @dataclass(frozen=True)
@@ -209,13 +220,17 @@ def generate_plans(
 ) -> list[CompositionPlan]:
     """All total bindings, exactly one plan per element of the Cartesian
     product of candidate lists; planId concatenates the bound component ids
-    in task document order."""
+    in task document order. Each (task id, component id) pair is built once
+    and shared by every plan that binds it."""
     reg.validate_against(pm)
-    tasks = pm.index.service_tasks
-    count = math.prod(len(reg.candidates(t.id)) for t in tasks)
+    pairs = [tuple((t.id, c.id) for c in reg.candidates(t.id)) for t in pm.index.service_tasks]
+    count = math.prod(map(len, pairs))
     if count > ceiling:
         raise PlanCountExceededError(f"{count} plans exceed the ceiling of {ceiling}")
-    return [_plan(tasks, combo, 0.0) for combo in itertools.product(*(reg.candidates(t.id) for t in tasks))]
+    return [
+        CompositionPlan("+".join([comp_id for _, comp_id in bindings]), bindings)
+        for bindings in itertools.product(*pairs)
+    ]
 
 
 def _plan(tasks, combo, rank_score: float) -> CompositionPlan:
@@ -245,22 +260,30 @@ def rank_plans(
     reg: CandidateRegistry,
 ) -> list[CompositionPlan]:
     """Scored by _score, maxMeanCost over the given plans; sorted best first,
-    ties broken by planId ascending."""
+    ties broken by planId ascending. The scored plans share the given plans'
+    planIds and bindings, and the result is the one list they are built in."""
     if not plans:
         raise EmptyInputError("no plans to rank")
 
     known = {c.id: c for c in reg.all_components()}
+    max_mean_cost = 0.0
     for p in plans:
+        costs = []
         for _, comp_id in p.bindings:
-            if comp_id not in known:
+            if (c := known.get(comp_id)) is None:
                 raise ValidationError(f"plan {p.plan_id!r} binds unknown component {comp_id!r}")
-    bound_comps = [[known[comp_id] for _, comp_id in p.bindings] for p in plans]
-    max_mean_cost = max(_mean([c.cost for c in comps]) for comps in bound_comps)
+            costs.append(c.cost)
+        max_mean_cost = max(max_mean_cost, _mean(costs))
     scored = [
-        replace(p, rank_score=_score(comps, criteria, max_mean_cost))
-        for p, comps in zip(plans, bound_comps)
+        CompositionPlan(
+            p.plan_id, p.bindings, _score([known[comp_id] for _, comp_id in p.bindings], criteria, max_mean_cost)
+        )
+        for p in plans
     ]
-    return sorted(scored, key=lambda p: (-p.rank_score, p.plan_id))
+    # both sorts are stable: best score first, planId ascending within a score
+    scored.sort(key=operator.attrgetter("plan_id"))
+    scored.sort(key=operator.attrgetter("rank_score"), reverse=True)
+    return scored
 
 
 @dataclass(frozen=True)

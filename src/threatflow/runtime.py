@@ -282,7 +282,9 @@ class DeployedService:
 
     @property
     def plans(self) -> list[CompositionPlan]:
-        """Every plan ranked, enumerated on each access (up to PLAN_CEILING)."""
+        """Every plan ranked, enumerated on each access (up to PLAN_CEILING).
+        The plans share one (task id, component id) pair per candidate, and
+        the ranking holds one scored list."""
         return rank_plans(generate_plans(self.process, self.registry), self.criteria, self.registry)
 
     @property

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -469,3 +471,71 @@ def test_costs_and_weights_must_be_finite(bad):
         weights = dict({"wTrust": 0.6, "wQos": 0.3, "wCost": 0.1}, **{weight: bad})
         with pytest.raises(ValidationError, match="finite"):
             composition.load_criteria(json.dumps(weights))
+
+
+def test_weights_whose_sum_overflows_are_refused():
+    # each weight is finite, but (wT + wQ) + wC is inf, and every score would be nan
+    with pytest.raises(ValidationError, match="finite sum"):
+        RankingCriteria(1e308, 1e308, 0.0)
+    with pytest.raises(ValidationError, match="finite sum"):
+        composition.load_criteria(json.dumps({"wTrust": 0.0, "wQos": 1e308, "wCost": 1e308}))
+    pm = two_task_model()
+    reg = registry_for(pm, {"t1": 2, "t2": 1})
+    ranked = rank_plans(generate_plans(pm, reg), RankingCriteria(1.7e308, 0.0, 9e306), reg)
+    assert not any(math.isnan(p.rank_score) for p in ranked)
+
+
+def test_costs_whose_mean_overflows_are_refused():
+    # each cost is finite, but the mean cost of a1+a2 overflows, and inf/inf is nan
+    pm = two_task_model()
+    reg = CandidateRegistry(entries=(
+        ("t1", (comp("a1", "op1", cost=1e308),)),
+        ("t2", (comp("a2", "op2", cost=1e308),)),
+    ))
+    with pytest.raises(ValidationError, match="overflows"):
+        rank_plans(generate_plans(pm, reg), RankingCriteria(1.0, 1.0, 1.0), reg)
+
+
+def test_costs_just_below_the_overflow_rank_and_select_without_nan():
+    pm = two_task_model()
+    reg = CandidateRegistry(entries=(
+        ("t1", (comp("a1", "op1", cost=1e308), comp("b1", "op1", cost=0.0))),
+        ("t2", (comp("a2", "op2", cost=7e307),)),
+    ))
+    crit = RankingCriteria(1.0, 1.0, 1.0)
+    ranked = rank_plans(generate_plans(pm, reg), crit, reg)
+    assert not any(math.isnan(p.rank_score) for p in ranked)
+    chosen = composition.select_plan(composition.candidate_table(pm, reg, crit, []), {}, ())
+    assert ranked[0].plan_id == "b1+a2"
+    assert (chosen.plan_id, chosen.rank_score) == (ranked[0].plan_id, ranked[0].rank_score)
+
+
+def test_ranked_listing_shares_one_pair_per_candidate_and_stays_small():
+    # 10 tasks with 3, 3, 3, 3, 3, 2, 2, 2, 2, 2 candidates: 3**5 * 2**5 = 7,776 plans
+    pm = chain_model(10)
+    rnd = random.Random(10)
+    reg = CandidateRegistry(entries=tuple(
+        (t.id, tuple(comp(f"{t.id}-c{j}", "op", rnd.random(), rnd.random(), rnd.random())
+                     for j in range(3 if k < 5 else 2)))
+        for k, t in enumerate(pm.service_tasks())
+    ))
+    crit = RankingCriteria(0.6, 0.3, 0.1)
+    plans = generate_plans(pm, reg)
+    for k, t in enumerate(pm.service_tasks()):
+        assert len({id(p.bindings[k]) for p in plans}) == len(reg.candidates(t.id))
+    # the first two plans differ only in their last binding
+    assert all(a is b for a, b in zip(plans[0].bindings[:-1], plans[1].bindings))
+    by_id = {p.plan_id: p for p in plans}
+    ranked = rank_plans(plans, crit, reg)
+    assert all(p.bindings is by_id[p.plan_id].bindings for p in ranked)
+    del plans, by_id, ranked
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ranked = rank_plans(generate_plans(pm, reg), crit, reg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == 7776
+    assert peak / len(ranked) < 800

@@ -185,6 +185,66 @@ def test_ranking_is_a_sorted_permutation(metrics, weights):
     assert keys == sorted(keys)
 
 
+# (trust, qos, cost) profiles that several candidates share, so plans tie exactly
+RANK_PROFILES = st.sampled_from([
+    (0.1, 0.2, 0.1), (0.3, 0.0, 0.1), (0.2, 0.1, 0.1), (0.6, 0.3, 0.2), (0.5, 0.5, 1.0), (0.0, 0.0, 0.0),
+])
+
+
+@st.composite
+def ranking_cases(draw):
+    """A chain of 1-4 tasks, each with up to three candidates; a candidate may
+    have a bit-identical mirror whose id adds '!' (which sorts before the '+'
+    joining plan ids, so the tie-break differs on the last task), and the
+    costs may all be zero; with zero costs, weights of -0.0 give scores of
+    -0.0."""
+    n = draw(st.integers(1, 4))
+    tasks = tuple(bpmn.ServiceTask(id=f"t{k}", operation_ref="op") for k in range(n))
+    order = ["start", *(t.id for t in tasks), "end"]
+    pm = ProcessModel(
+        id="chain",
+        nodes=(StartEvent(id="start"), *tasks, EndEvent(id="end")),
+        flows=tuple(bpmn.SequenceFlow(id=f"f{k}", from_node=a, to_node=b)
+                    for k, (a, b) in enumerate(zip(order, order[1:]))),
+    )
+    zero_costs = draw(st.booleans())
+    names = st.lists(st.sampled_from(("a", "a0", "ab", "#x", "b", "z")), min_size=1, max_size=3, unique=True)
+    entries = []
+    for t in tasks:
+        comps = []
+        for name in draw(names):
+            trust, qos, cost = draw(RANK_PROFILES)
+            if zero_costs:
+                cost = draw(st.sampled_from([0.0, -0.0]))
+            c = ComponentDescriptor(f"{t.id}{name}", "prov", "op", trust, qos, cost)
+            comps.append(c)
+            if draw(st.booleans()):
+                comps.append(replace(c, id=c.id + "!"))
+        entries.append((t.id, tuple(comps)))
+    weights = draw(st.tuples(*[st.sampled_from([-0.0, 0.0, 0.1, 0.3, 1.0])] * 3).filter(lambda w: sum(w) > 0))
+    return pm, CandidateRegistry(entries=tuple(entries)), RankingCriteria(*weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ranking_cases())
+def test_ranking_matches_the_sorted_copies_it_replaced(case):
+    pm, reg, criteria = case
+    plans = generate_plans(pm, reg)
+    known = {c.id: c for c in reg.all_components()}
+    bound_comps = [[known[comp_id] for _, comp_id in p.bindings] for p in plans]
+    max_mean_cost = max(composition._mean([c.cost for c in comps]) for comps in bound_comps)
+    reference = sorted(
+        [replace(p, rank_score=composition._score(comps, criteria, max_mean_cost))
+         for p, comps in zip(plans, bound_comps)],
+        key=lambda p: (-p.rank_score, p.plan_id),
+    )
+    ranked = rank_plans(plans, criteria, reg)
+    # hex() tells -0.0 from 0.0
+    assert [(p.plan_id, p.bindings, p.rank_score.hex()) for p in ranked] == [
+        (p.plan_id, p.bindings, p.rank_score.hex()) for p in reference
+    ]
+
+
 # ids that sort before ('!', '#') and after ('0', 'a') the '+' joining plan ids
 SELECTION_IDS = ("a", "a!", "a0", "ab", "#x", "b", "b-1", "c", "c_2", "z")
 # (trust, qos, cost) profiles; ids share a few of them, so exact ties are

@@ -140,6 +140,17 @@ def test_deploy_rejects_invalid_model_and_uncovered_tasks():
         deploy(pm, CandidateRegistry(), [], CRITERIA, Broker(), ScriptedInvoker())
 
 
+def test_deploy_refuses_costs_whose_mean_overflows():
+    # each cost is finite, but the plan's mean cost overflows and would score nan
+    pm = linear_model()
+    reg = CandidateRegistry(entries=tuple(
+        (t.id, (ComponentDescriptor(f"{t.id}-c1", "prov", t.operation_ref, 0.5, 0.5, 1e308),))
+        for t in pm.service_tasks()
+    ))
+    with pytest.raises(ValidationError, match="overflows"):
+        deploy(pm, reg, [], CRITERIA, Broker(), ScriptedInvoker())
+
+
 def test_deploy_rejects_reserved_service_id():
     pm = linear_model()
     with pytest.raises(ValidationError):
