@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .errors import BusError, ValidationError, reading
+from .errors import BusError, ValidationError, blank, reading
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +144,7 @@ class Notification:
         if self.payload.probability is not None and not 0.0 <= self.payload.probability <= 1.0:
             raise ValidationError(f"probability {self.payload.probability} outside [0,1]")
         if self.type is EventType.THREAT_LEVEL_CHANGE:
-            if not self.threat_id:
+            if blank(self.threat_id):
                 raise ValidationError("ThreatLevelChange notification without threatId")
             if self.payload.probability is None:
                 raise ValidationError("ThreatLevelChange notification without probability")

@@ -6,17 +6,18 @@ ranked by a weighted mean of trustworthiness, QoS and cost, and verified
 against adaptation rules plus the latest threat state. Both split per
 (task, component) pair, so select_plan chooses task by task for deploy and
 recomposition; generate_plans enumerates the Cartesian product of candidate
-lists (up to PLAN_CEILING) only to list and rank every plan. That listing
-shares one (task id, component id) pair per candidate among the plans that
-bind it, and rank_plans holds one scored list, sorted in place. All functions
-here are pure; ThreatState is the one mutable type and hands out snapshots.
-Descriptors, registries and ranking criteria check themselves when built;
-validate_against adds only what a given process model requires.
+lists (up to PLAN_CEILING) only to list and rank every plan, sharing one
+(task id, component id) pair per candidate. One scorer, _score, serves
+ranking, the candidate table and selection over one cost scale,
+_max_mean_cost, and a scale that is not finite is refused: no plan scores
+nan. All functions here are pure; ThreatState is the one mutable type and
+hands out snapshots. Descriptors, registries and ranking criteria check
+themselves when built; validate_against adds what a model requires.
 
 Per binding, select_plan checks a candidate against the (threat id,
 predicate) pairs that candidate_table precomputes for its task, a few dict
 lookups that decide what verify_plan decides for a one-task binding; it
-builds no plan or verdict.
+builds no verdict, and one plan: the chosen one.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .rules import AdaptationRule, Predicate
 
 PLAN_CEILING = 10_000
 _RESERVED_IN_IDS = re.compile(r"[+.*\s]")  # '+' joins plan ids; '.' and '*' are topic syntax
+_COST_OVERFLOW = "the mean of the per-task maximum costs overflows"
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,9 @@ class CandidateRegistry:
                     raise ValidationError(f"component {c.id!r} has different descriptors under two tasks")
 
     def validate_against(self, pm: bpmn.ProcessModel) -> None:
-        """Besides coverage and operationRefs, the mean of the per-task
-        maximum costs must be finite: it bounds every plan's mean cost (float
-        addition is monotone), and a mean that overflows scores `nan`."""
-        max_costs = []
+        """Besides coverage and operationRefs, the cost scale must be finite:
+        it bounds every plan's mean cost (float addition is monotone), and a
+        scale that overflows scores `nan`."""
         for task in pm.service_tasks():
             comps = self.candidates(task.id)
             if not comps:
@@ -129,9 +130,8 @@ class CandidateRegistry:
                         f"component {c.id!r} implements {c.operation_ref!r} but task "
                         f"{task.id!r} requires {task.operation_ref!r}"
                     )
-            max_costs.append(max(c.cost for c in comps))
-        if not math.isfinite(_mean(max_costs)):
-            raise ValidationError("the mean of the per-task maximum costs overflows")
+        if not math.isfinite(_max_mean_cost(pm, self)):
+            raise ValidationError(_COST_OVERFLOW)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,24 +233,30 @@ def generate_plans(
     ]
 
 
-def _plan(tasks, combo, rank_score: float) -> CompositionPlan:
-    bindings = tuple((task.id, c.id) for task, c in zip(tasks, combo))
-    return CompositionPlan("+".join(c.id for c in combo), bindings, rank_score)
-
-
 def _mean(values: list[float]) -> float:
     """A left fold from 0, on every Python version: from 3.12 on, sum() of
     floats is compensated and would round differently."""
     return functools.reduce(operator.add, values, 0) / len(values) if values else 0.0
 
 
+def _max_mean_cost(pm: bpmn.ProcessModel, reg: CandidateRegistry) -> float:
+    """The cost scale: the mean of the per-task maximum costs, in document
+    order as plans bind tasks, so it equals the largest plan mean cost exactly."""
+    return _mean([max(c.cost for c in reg.candidates(t.id)) for t in pm.index.service_tasks])
+
+
 def _score(comps, criteria: RankingCriteria, max_mean_cost: float) -> float:
-    """(wT*meanTrust + wQ*meanQos - wC*meanCost/maxMeanCost) / (wT+wQ+wC)."""
-    norm_cost = _mean([c.cost for c in comps]) / max_mean_cost if max_mean_cost > 0 else 0.0
+    """(wT*meanTrust + wQ*meanQos - wC*meanCost/maxMeanCost) / (wT+wQ+wC), in
+    one pass that keeps _mean's three left folds from the int 0 side by side."""
+    trust = qos = cost = 0
+    for c in comps:
+        trust += c.trustworthiness
+        qos += c.latency_score
+        cost += c.cost
+    n = len(comps) or 1  # an empty plan's sums stay 0, and 0 / 1 is _mean([])
+    norm_cost = cost / n / max_mean_cost if max_mean_cost > 0 else 0.0
     return (
-        criteria.w_trust * _mean([c.trustworthiness for c in comps])
-        + criteria.w_qos * _mean([c.latency_score for c in comps])
-        - criteria.w_cost * norm_cost
+        criteria.w_trust * (trust / n) + criteria.w_qos * (qos / n) - criteria.w_cost * norm_cost
     ) / (criteria.w_trust + criteria.w_qos + criteria.w_cost)
 
 
@@ -259,9 +265,9 @@ def rank_plans(
     criteria: RankingCriteria,
     reg: CandidateRegistry,
 ) -> list[CompositionPlan]:
-    """Scored by _score, maxMeanCost over the given plans; sorted best first,
-    ties broken by planId ascending. The scored plans share the given plans'
-    planIds and bindings, and the result is the one list they are built in."""
+    """Scored by _score over the given plans' maxMeanCost, refused unless
+    finite; best first, planId ascending within a score. The scored plans,
+    one list, share the given plans' planIds and bindings."""
     if not plans:
         raise EmptyInputError("no plans to rank")
 
@@ -274,6 +280,8 @@ def rank_plans(
                 raise ValidationError(f"plan {p.plan_id!r} binds unknown component {comp_id!r}")
             costs.append(c.cost)
         max_mean_cost = max(max_mean_cost, _mean(costs))
+    if not math.isfinite(max_mean_cost):
+        raise ValidationError(_COST_OVERFLOW)
     scored = [
         CompositionPlan(
             p.plan_id, p.bindings, _score([known[comp_id] for _, comp_id in p.bindings], criteria, max_mean_cost)
@@ -290,7 +298,6 @@ def rank_plans(
 class CandidateTable:
     """What plan choice needs that no threat level or flag changes."""
 
-    process: bpmn.ProcessModel
     criteria: RankingCriteria
     max_mean_cost: float
     # per service task in document order: the task, its candidates with their
@@ -308,14 +315,12 @@ def candidate_table(
     criteria: RankingCriteria,
     rules: list[AdaptationRule],
 ) -> CandidateTable:
-    """reg must pass validate_against(pm). The mean of per-task maximum costs
-    equals rank_plans' maximum mean cost exactly: float addition is monotone.
-    A row keeps only the rules verify_plan can fail on: ThreatLevelChange
-    rules with both a predicate and a threat id. A one-task score is
-    _score([c], ...) term by term: _mean([x]) is 0 + x, which is x except
-    that -0.0 becomes 0.0, hence the + 0.0 below."""
-    tasks = pm.index.service_tasks
-    max_mean_cost = _mean([max(c.cost for c in reg.candidates(t.id)) for t in tasks])
+    """reg must pass validate_against(pm). Each candidate is scored as the
+    one-task plan _score((c,), ...) under the cost scale of the whole model,
+    which equals rank_plans' maximum mean cost. A row keeps only the rules
+    verify_plan can fail on: ThreatLevelChange rules with both a predicate
+    and a threat id."""
+    max_mean_cost = _max_mean_cost(pm, reg)
     checks: dict[str, list[tuple[str, Predicate]]] = {}
     thresholds: dict[str, list[Predicate | None]] = {}
     for r in rules:
@@ -323,19 +328,12 @@ def candidate_table(
             thresholds.setdefault(r.threat_id, []).append(r.predicate)
             if r.predicate is not None:
                 checks.setdefault(r.subject_task_id, []).append((r.threat_id, r.predicate))
-    w_trust, w_qos, w_cost = criteria.w_trust, criteria.w_qos, criteria.w_cost
-    weight = w_trust + w_qos + w_cost
-
-    def one_task_score(c: ComponentDescriptor) -> float:
-        norm_cost = (c.cost + 0.0) / max_mean_cost if max_mean_cost > 0 else 0.0
-        return (w_trust * (c.trustworthiness + 0.0) + w_qos * (c.latency_score + 0.0) - w_cost * norm_cost) / weight
-
     rows = []
-    for task in tasks:
-        scored = [(one_task_score(c), c) for c in reg.candidates(task.id)]
+    for task in pm.index.service_tasks:
+        scored = [(_score((c,), criteria, max_mean_cost), c) for c in reg.candidates(task.id)]
         scored.sort(key=lambda sc: sc[0], reverse=True)
         rows.append((task, scored, tuple(checks.get(task.id, ()))))
-    return CandidateTable(pm, criteria, max_mean_cost, tuple(rows), thresholds)
+    return CandidateTable(criteria, max_mean_cost, tuple(rows), thresholds)
 
 
 def select_plan(
@@ -350,9 +348,9 @@ def select_plan(
     verify_plan fails on single bindings, so each task keeps its best allowed
     candidates on its own; a candidate is allowed unless excluded or a
     (threat id, predicate) pair of its row is satisfied by its level. Those
-    within 1e-9 of a task's best are kept too, and their product is scored
-    with the full formula, so float rounding and planId tie-breaks match
-    rank_plans.
+    within 1e-9 of a task's best are kept too. Each combination of them is
+    scored by _score, and the best (score, planId) is the one plan built, so
+    float rounding and planId tie-breaks match rank_plans.
     """
     best = []
     for _, scored, checks in table.rows:
@@ -371,12 +369,13 @@ def select_plan(
         if not tied:
             return None
         best.append(tied)
-    tasks = table.process.index.service_tasks
-    plans = (
-        _plan(tasks, combo, _score(combo, table.criteria, table.max_mean_cost))
-        for combo in itertools.product(*best)
+    score, plan_id, combo = min(
+        ((_score(combo, table.criteria, table.max_mean_cost), "+".join([c.id for c in combo]), combo)
+         for combo in itertools.product(*best)),
+        key=lambda t: (-t[0], t[1]),
     )
-    return min(plans, key=lambda p: (-p.rank_score, p.plan_id))
+    bindings = tuple((task.id, c.id) for (task, _, _), c in zip(table.rows, combo))
+    return CompositionPlan(plan_id, bindings, score)
 
 
 def verify_plan(

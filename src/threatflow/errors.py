@@ -107,6 +107,11 @@ class ComponentFault(ThreatflowError):
         self.error_id = error_id
 
 
+def blank(threat_id: str | None) -> bool:
+    """None, empty or whitespace only: no threat id, in every layer."""
+    return not threat_id or threat_id.isspace()
+
+
 def read_text(path: str | os.PathLike, what: str) -> str:
     """The UTF-8 text of the file at `path`. A missing file raises
     NotFoundError(what); bytes that are not UTF-8 raise ParseError."""

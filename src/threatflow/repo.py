@@ -18,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from . import bpmn
-from .errors import ConflictError, NotFoundError, ParseError, ValidationError, parse_json, read_text, reading
+from .errors import ConflictError, NotFoundError, ParseError, ValidationError, blank, parse_json, read_text, reading
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ class Threat:
         self.validate()
 
     def validate(self) -> None:
-        if not self.id or self.id.isspace():
+        if blank(self.id):
             raise ValidationError("threat id is empty")
         if not isinstance(self.threat_class, ThreatClass):
             raise ValidationError(f"threat class {self.threat_class!r} is not a valid class")

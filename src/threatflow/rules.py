@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import bpmn
 from .bus import EventType, Notification
-from .errors import DerivationError, EvaluationError, ParseError, ValidationError, parse_json, reading
+from .errors import DerivationError, EvaluationError, ParseError, ValidationError, blank, parse_json, reading
 
 if TYPE_CHECKING:
     from .composition import CandidateRegistry
@@ -144,7 +144,7 @@ class AdaptationRule:
         if not self.subject_task_id:
             raise ValidationError(f"rule {self.rule_id!r} has no subject task")
         if self.event_type is EventType.THREAT_LEVEL_CHANGE:
-            if not self.threat_id:
+            if blank(self.threat_id):
                 raise ValidationError(
                     f"rule {self.rule_id!r} reacts to threat level changes but names no threat"
                 )

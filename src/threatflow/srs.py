@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import bpmn
-from .errors import DanglingReferenceError, ParseError, ValidationError, parse_json, reading
+from .errors import DanglingReferenceError, ParseError, ValidationError, blank, parse_json, reading
 
 ID_MATCH_CAVEAT = (
     "matching is by exact threat ID only; refined or sub-typed threats "
@@ -111,8 +111,8 @@ def _check_references(doc: SrsDocument) -> None:
             if actor not in actor_ids:
                 raise DanglingReferenceError(f"transmission {t.id!r} actor {actor!r} is unknown")
     for th in doc.threats:
-        if not th.threat_id or not isinstance(th.threat_id, str):
-            raise ValidationError(f"threat targeting {th.target_ref!r} has an empty or non-string threat id")
+        if not isinstance(th.threat_id, str) or blank(th.threat_id):
+            raise ValidationError(f"threat targeting {th.target_ref!r} has a blank or non-string threat id")
         if th.target_ref not in element_ids:
             raise DanglingReferenceError(
                 f"threat {th.threat_id!r} targets unknown element {th.target_ref!r}"

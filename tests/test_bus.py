@@ -618,11 +618,12 @@ def _malformed(field, value):
     _malformed("subjectComponentId", 7),
     _malformed("publisherId", [1]),
     _malformed("threatId", [1]),
+    _malformed("threatId", " "),
     {"op": "SUB", "subscriberId": "sre-2", "topicPattern": 7},
     b'{"op": "PUB", "publisherId": "\xff"}\n',
 ], ids=["seq", "seq-infinite", "seq-fraction", "seq-string", "seq-bool", "timestamp-string",
         "probability-bool", "payload", "probability", "value", "subject", "publisher",
-        "threat", "topic-pattern", "not-utf8"])
+        "threat", "threat-blank", "topic-pattern", "not-utf8"])
 def test_malformed_record_gets_an_error_reply_and_keeps_the_connection(bad, monkeypatch):
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)

@@ -496,6 +496,17 @@ def test_costs_whose_mean_overflows_are_refused():
         rank_plans(generate_plans(pm, reg), RankingCriteria(1.0, 1.0, 1.0), reg)
 
 
+def test_rank_plans_refuses_hand_built_plans_whose_mean_cost_overflows():
+    # no generate_plans, so no validate_against: rank_plans checks its own scale
+    reg = CandidateRegistry(entries=(
+        ("t1", (comp("a1", "op1", cost=1e308),)),
+        ("t2", (comp("a2", "op2", cost=1e308),)),
+    ))
+    plans = [composition.CompositionPlan("a1+a2", (("t1", "a1"), ("t2", "a2")))]
+    with pytest.raises(ValidationError, match="the mean of the per-task maximum costs overflows"):
+        rank_plans(plans, RankingCriteria(1, 1, 1), reg)
+
+
 def test_costs_just_below_the_overflow_rank_and_select_without_nan():
     pm = two_task_model()
     reg = CandidateRegistry(entries=(

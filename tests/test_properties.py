@@ -1,6 +1,8 @@
 """Property-based checks for the invariants that hold over whole input spaces."""
 
+import functools
 import itertools
+import operator
 import random
 import re
 from collections import Counter
@@ -243,6 +245,41 @@ def test_ranking_matches_the_sorted_copies_it_replaced(case):
     assert [(p.plan_id, p.bindings, p.rank_score.hex()) for p in ranked] == [
         (p.plan_id, p.bindings, p.rank_score.hex()) for p in reference
     ]
+
+
+def _score_before_one_pass(comps, criteria, max_mean_cost):
+    """The ranking formula as three _mean calls, each a left fold from the
+    int 0: the form every ranked score and selection was made in first."""
+    def mean(values):
+        return functools.reduce(operator.add, values, 0) / len(values) if values else 0.0
+
+    norm_cost = mean([c.cost for c in comps]) / max_mean_cost if max_mean_cost > 0 else 0.0
+    return (
+        criteria.w_trust * mean([c.trustworthiness for c in comps])
+        + criteria.w_qos * mean([c.latency_score for c in comps])
+        - criteria.w_cost * norm_cost
+    ) / (criteria.w_trust + criteria.w_qos + criteria.w_cost)
+
+
+ZEROS_AND_SUBNORMALS = st.sampled_from([-0.0, 0.0, 5e-324, 1.1125369292536007e-308])
+SCORE_UNIT = st.floats(min_value=0.0, max_value=1.0) | ZEROS_AND_SUBNORMALS
+SCORE_COST = st.floats(min_value=0.0, max_value=1e308) | ZEROS_AND_SUBNORMALS | st.sampled_from([1e308, 2.0**969])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    profiles=st.lists(st.tuples(SCORE_UNIT, SCORE_UNIT, SCORE_COST), min_size=1, max_size=6),
+    weights=st.tuples(SCORE_UNIT, SCORE_UNIT, SCORE_UNIT).filter(lambda w: sum(w) > 0),
+    max_mean_cost=SCORE_COST,
+)
+def test_one_pass_score_matches_the_mean_based_formula(profiles, weights, max_mean_cost):
+    comps = [ComponentDescriptor(f"c{j}", "prov", "op", t, q, c) for j, (t, q, c) in enumerate(profiles)]
+    criteria = RankingCriteria(*weights)
+    # hex() tells -0.0 from 0.0; nan (a sum past 1e308) hexes to 'nan' on both sides
+    for plan in (comps, comps[:1], []):
+        assert composition._score(plan, criteria, max_mean_cost).hex() == (
+            _score_before_one_pass(plan, criteria, max_mean_cost).hex()
+        )
 
 
 # ids that sort before ('!', '#') and after ('0', 'a') the '+' joining plan ids

@@ -41,6 +41,18 @@ INVALID = {
         lambda: AdaptationRule("r1", EventType.THREAT_LEVEL_CHANGE, "t1", Action(ActionKind.STOP)),
         "names no threat",
     ),
+    "rule-blank-threat": (
+        lambda: AdaptationRule("r1", EventType.THREAT_LEVEL_CHANGE, "t1", Action(ActionKind.STOP), threat_id=" "),
+        "names no threat",
+    ),
+    "notification-blank-threat": (
+        lambda: Notification(
+            type=EventType.THREAT_LEVEL_CHANGE, topic="threat-level-change.mapA",
+            subject_component_id="mapA", payload=Payload(probability=0.5),
+            timestamp=1.0, seq=1, publisher_id="m", threat_id="\u3000",
+        ),
+        "without threatId",
+    ),
     "threat-empty-id": (lambda: Threat(" ", "blank", ThreatClass.BUSINESS), "threat id is empty"),
     "countermeasure-rank-2": (lambda: Countermeasure("cm-1", "T-X", "t", rank_score=2.0), "outside"),
     "mock-unknown-kind": (lambda: MockComponentConfig("c1", kind="sometimes"), "unknown mock behavior"),

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from threatflow import bpmn, runtime
+from threatflow import bpmn, composition, runtime
 from threatflow.bus import Broker, EventType, Notification, Payload, Publisher, Subscription
 from threatflow.composition import CandidateRegistry, ComponentDescriptor, RankingCriteria
 from threatflow.errors import (
@@ -149,6 +149,27 @@ def test_deploy_refuses_costs_whose_mean_overflows():
     ))
     with pytest.raises(ValidationError, match="overflows"):
         deploy(pm, reg, [], CRITERIA, Broker(), ScriptedInvoker())
+
+
+def test_deploy_takes_the_cost_scale_in_document_order():
+    # declared tA, tB, tC but run tC, tB, tA: the declared order sums the costs
+    # to a finite mean, the order plans bind them overflows and scored nan
+    declared = [("tA", 1.7976931348623157e308), ("tB", 2.0**969), ("tC", 2.0**969)]
+    order = ["start", "tC", "tB", "tA", "end"]
+    pm = bpmn.ProcessModel(
+        id="p",
+        nodes=(bpmn.StartEvent(id="start"), *(bpmn.ServiceTask(id=tid) for tid, _ in declared),
+               bpmn.EndEvent(id="end")),
+        flows=tuple(bpmn.SequenceFlow(id=f"f{k}", from_node=a, to_node=b)
+                    for k, (a, b) in enumerate(zip(order, order[1:]))),
+    )
+    reg = CandidateRegistry(entries=tuple(
+        (tid, (ComponentDescriptor(tid[1].lower(), "prov", "", 0.5, 0.5, cost),)) for tid, cost in declared
+    ))
+    with pytest.raises(ValidationError, match="overflows"):
+        deploy(pm, reg, [], CRITERIA, Broker(), ScriptedInvoker())
+    with pytest.raises(ValidationError, match="overflows"):
+        composition.generate_plans(pm, reg)
 
 
 def test_deploy_rejects_reserved_service_id():

@@ -46,7 +46,9 @@ def test_malformed_json_reports_position():
 @pytest.mark.parametrize("raw, error", [
     (dict(SAMPLE, goals=[{"id": "g-1", "ownerActor": ["a-pilot"]}]), ParseError),
     (dict(SAMPLE, threats=[{"threatId": ["T-X"], "targetRef": "tx-map"}]), ValidationError),
-], ids=["owner-list", "threat-id-list"])
+    # no model can carry a blank id, so conformity would report it missing forever
+    (dict(SAMPLE, threats=[{"threatId": " ", "targetRef": "tx-map"}]), ValidationError),
+], ids=["owner-list", "threat-id-list", "threat-id-blank"])
 def test_malformed_srs_records_raise_threatflow_errors(raw, error):
     with pytest.raises(error):
         srs.load_srs(json.dumps(raw))
